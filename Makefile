@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 .PHONY: verify test check check-deep chaos-smoke chaos chaos-overload \
 	trace telemetry telemetry-smoke golden bench bench-smoke \
-	bench-queues sweep sweep-smoke recover recover-smoke
+	oracle-seeds bench-queues sweep sweep-smoke recover recover-smoke
 
 ## The full tier-1 gate: unit/integration tests, the repro.analysis
 ## correctness passes, and the chaos smoke episodes.
@@ -47,7 +47,7 @@ telemetry-smoke:
 ## Kernel fast-path wall-clock benchmark (writes BENCH_kernel.json).
 ## Not part of tier-1: wall-clock numbers are host-dependent.
 bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench --output BENCH_kernel.json
 
 ## CI smoke: every bench stage at reduced scale, asserting the fast
 ## path is byte-identical to the segment path.  The wall-clock speedup
@@ -56,6 +56,13 @@ bench:
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench --scale quick \
 		--smoke --output .bench-smoke.json
+
+## CI: the fast path against the event-accurate oracle on the hot-spot
+## cell (Zipf 1.30, partition-ca, 60 clients) for seeds 0-9: identical
+## summaries, or the next fast-path drift fails here.
+oracle-seeds:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
+		benchmarks/test_oracle_seeds.py
 
 ## Scheduler queue microbenchmark: heap vs calendar backend on pure
 ## scheduling mixes, with a cross-backend dispatch-order digest check

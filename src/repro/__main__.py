@@ -14,7 +14,7 @@ Commands
               Prometheus text format (DESIGN §15)
 ``top``       telemetry dashboard for the overload episode: totals, gauges,
               scheduler introspection, SLO verdicts
-``bench``     kernel fast-path wall-clock benchmark -> BENCH_kernel.json
+``bench``     kernel fast-path wall-clock benchmark (``--output`` JSON)
 ``recover``   controller crash/recovery episode; ``--explore`` crashes the
               controller at every WAL/dispatch boundary (DESIGN §14)
 ``sweep``     run a SweepSpec matrix across worker processes and merge the
@@ -303,11 +303,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 2
     payload = run_bench(stages=stages, scale=args.scale, seed=args.seed,
                         profile=args.profile)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(render_bench(payload))
-    print(f"\nwrote {args.output}")
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"\nwrote {args.output}")
     if args.profile:
         print(f"profiled stage {payload['profile']['stage']} (fast path) "
               f"-> {args.profile}; inspect with: python -m pstats "
@@ -548,8 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated stage names (default: all); "
                             "see repro.experiments.bench.BENCH_STAGES")
     p_bch.add_argument("--seed", type=int, default=42)
-    p_bch.add_argument("--output", default="BENCH_kernel.json",
-                       help="where to write the results JSON")
+    p_bch.add_argument("--output", default=None,
+                       help="write the results JSON here (default: "
+                            "print only)")
     p_bch.add_argument("--profile", default=None, metavar="PSTATS",
                        help="re-run the slowest stage on the fast path "
                             "under cProfile and dump pstats here")

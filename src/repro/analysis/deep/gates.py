@@ -115,15 +115,6 @@ GATES: tuple[GateSpec, ...] = (
 
 FAST_PATH_ATTR = "fast_path"
 
-#: Pooled-object recycling sites (scheduler overhaul, DESIGN §16): a
-#: ``fast_path`` branch whose body only returns hot objects to a pool is
-#: an allocation optimisation, not an operation -- the slow path simply
-#: allocates fresh objects, so no fallback edge is required.  A branch
-#: qualifies when every statement appends to a ``*_pool`` attribute or
-#: calls a ``recycle_*`` API.
-POOL_SINK_SUFFIX = "_pool"
-POOL_RECYCLE_PREFIX = "recycle_"
-
 _GATE_BY_ATTR = {g.attr: g for g in GATES}
 
 
@@ -505,34 +496,13 @@ class _UseScanner:
             self._visit(child, facts, False)
 
 
-def _is_pool_recycle_body(body: list[ast.stmt]) -> bool:
-    """True when every statement recycles an object into a pool."""
-    for stmt in body:
-        if not isinstance(stmt, ast.Expr) or \
-                not isinstance(stmt.value, ast.Call):
-            return False
-        func = stmt.value.func
-        if not isinstance(func, ast.Attribute):
-            return False
-        if func.attr.startswith(POOL_RECYCLE_PREFIX):
-            continue
-        if func.attr == "append" and isinstance(func.value, ast.Attribute) \
-                and func.value.attr.endswith(POOL_SINK_SUFFIX):
-            continue
-        return False
-    return bool(body)
-
-
 def _fast_path_findings(cfg: Cfg) -> list[_Finding]:
     """GATE003: a ``fast_path`` branch whose false edge reaches the
-    function exit without executing anything -- no slow-path fallback.
-    Pool-recycle branches (see :data:`POOL_SINK_SUFFIX`) are exempt."""
+    function exit without executing anything -- no slow-path fallback."""
     out: list[_Finding] = []
     for node in cfg.nodes:
         if node.kind != "test" or node.expr is None or \
                 not isinstance(node.stmt, ast.If):
-            continue
-        if _is_pool_recycle_body(node.stmt.body):
             continue
         mentions = any(
             (isinstance(sub, ast.Attribute) and sub.attr == FAST_PATH_ATTR)

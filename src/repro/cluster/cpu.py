@@ -44,58 +44,45 @@ class Cpu:
     def run(self, reference_seconds: float) -> Generator:
         """Execute a burst; use ``yield from cpu.run(...)`` inside a process."""
         duration = self.scaled(reference_seconds)
-        core = self._core
-        ks = self.sim.kernel_stats
-        if self.sim.fast_path:
-            req = core.try_acquire()
-            if req is not None:
-                try:
-                    if ks is not None:
-                        ks.on_fast_path("cpu", True)
-                    yield self.sim.hot_timeout(duration)
-                finally:
-                    core.release(req)
-            else:
-                if ks is not None:
-                    ks.on_fast_path("cpu", False)
-                # Grant-and-hold: the grant event fires once, at the end
-                # of the burst (see Resource.request).
-                req = yield core.request(hold=duration)
-                core.release(req)
-        else:
-            req = yield core.request()
-            try:
-                yield self.sim.timeout(duration)
-            finally:
-                core.release(req)
-        self.busy_seconds += duration
-        self.bursts += 1
+        yield from self._core.hold(duration, "cpu")
+        self._ran(duration)
+
+    def run_detached(self, reference_seconds: float) -> None:
+        """Execute a fire-and-forget burst, started where a freshly spawned
+        process running :meth:`run` would start it (see
+        :meth:`Resource.hold_detached`)."""
+        duration = self.scaled(reference_seconds)
+        self._core.hold_detached(duration, lambda: self._ran(duration))
+
+    def fuses(self, first_ref: float) -> bool:
+        """True when :meth:`run_pair` started now, with a first burst of
+        ``first_ref``, holds the core as one segmented hold (unless the
+        whole pair crosses the run deadline).  Callers that act early on
+        the strength of the fusion -- a lookup or cache access the event
+        path makes at the burst boundary -- ask this first."""
+        return self._core.segmentable(self.scaled(first_ref))
 
     def run_pair(self, first_ref: float, second_ref: float) -> Generator:
-        """Fast path only: two back-to-back bursts as one segmented hold.
+        """Two back-to-back bursts; use ``yield from``.
 
-        Caller must have verified ``sim.fast_path`` and
-        ``self._core.can_acquire``.  Uncontended, this costs one scheduled
-        event for both bursts and applies the bookkeeping the two-burst
-        event cascade would have produced.  A contender arriving at or
-        before the internal boundary splits the hold (see
-        :meth:`Resource.hold_segmented`): the first burst completes at the
-        boundary exactly as the event path would, and the second burst
-        replays through :meth:`run`.
+        Observably ``run(first_ref)`` then ``run(second_ref)``.  When the
+        core can take them as one segmented hold
+        (:meth:`Resource.segmentable`) they cost one scheduled event and
+        the bookkeeping the two-burst event cascade would have produced;
+        otherwise, and always on the event-accurate path, they are two
+        runs.  A contender arriving before the internal boundary splits
+        the hold (see :meth:`Resource.hold_segmented`): the first burst
+        completes at the boundary exactly as the event path would, and
+        the second burst replays through :meth:`run`.
         """
         d1 = self.scaled(first_ref)
         d2 = self.scaled(second_ref)
         core = self._core
-        sim = self.sim
-        boundary = sim._now + d1
-        if boundary + d2 > sim._horizon:
-            # A hold truncated by the run deadline would freeze with the
-            # boundary bookkeeping unapplied while the event path had
-            # already completed the first burst; near the edge, stay
-            # event-accurate.
+        if not core.segmentable(d1, d2):
             yield from self.run(first_ref)
             yield from self.run(second_ref)
             return
+        boundary = self.sim._now + d1
         req = core.try_acquire()
         try:
             outcome = yield core.hold_segmented(req, d1, d2)
@@ -104,8 +91,7 @@ class Cpu:
             raise
         if outcome is SEGMENT_SPLIT:
             core.release(req)
-            self.busy_seconds += d1
-            self.bursts += 1
+            self._ran(d1)
             yield from self.run(second_ref)
             return
         # Bookkeeping for the elided boundary: the event path released and
@@ -120,9 +106,13 @@ class Cpu:
         core.release(req)
         core.total_requests += 1
         core.peak_queue_len = max(core.peak_queue_len, 1)
-        self.busy_seconds += d1
-        self.busy_seconds += d2
-        self.bursts += 2
+        self._ran(d1)
+        self._ran(d2)
+
+    def _ran(self, duration: float) -> None:
+        """The one place a finished burst is counted."""
+        self.busy_seconds += duration
+        self.bursts += 1
 
     def utilization(self) -> float:
         return self._core.utilization()

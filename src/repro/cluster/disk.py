@@ -40,65 +40,31 @@ class Disk:
     def clear_slowdown(self) -> None:
         self.slowdown = 1.0
 
-    def _service(self, duration: float) -> Generator:
-        """Hold the arm for ``duration``.
+    def _service(self, nbytes: int, write: bool) -> Generator:
+        """Hold the arm for one whole-object transfer and count it.
 
-        A healthy (``slowdown == 1.0``), idle, unqueued disk takes the
-        single-event fast path; a degraded disk always pays the
-        event-accurate path so the disk-slowdown chaos fault keeps its
-        exact event interleaving.
+        A degraded disk (``slowdown > 1.0``) never collapses its hold, so
+        the disk-slowdown chaos fault keeps its exact two-event
+        interleaving.
         """
-        arm = self._arm
-        ks = self.sim.kernel_stats
-        if self.sim.fast_path and self.slowdown == 1.0:
-            req = arm.try_acquire()
-            if req is not None:
-                try:
-                    if ks is not None:
-                        ks.on_fast_path("disk", True)
-                    yield self.sim.hot_timeout(duration)
-                finally:
-                    arm.release(req)
-            else:
-                if ks is not None:
-                    ks.on_fast_path("disk", False)
-                # Grant-and-hold: one event for grant *and* service (see
-                # Resource.request).
-                req = yield arm.request(hold=duration)
-                arm.release(req)
-        elif self.sim.fast_path:
-            if ks is not None:
-                ks.on_fast_path("disk", False)
-            # Degraded disk: keep the exact two-event interleaving so
-            # the disk-slowdown chaos fault stays event-accurate (the
-            # hold timer is still pooled).
-            req = yield arm.request()
-            try:
-                yield self.sim.hot_timeout(duration)
-            finally:
-                arm.release(req)
+        duration = self.spec.read_time(nbytes) * self.slowdown
+        yield from self._arm.hold(duration, "disk",
+                                  collapse=self.slowdown == 1.0)
+        if write:
+            self.writes += 1
+            self.bytes_written += nbytes
         else:
-            req = yield arm.request()
-            try:
-                yield self.sim.timeout(duration)
-            finally:
-                arm.release(req)
+            self.reads += 1
+            self.bytes_read += nbytes
+        self.busy_seconds += duration
 
     def read(self, nbytes: int) -> Generator:
         """Read an object; use ``yield from disk.read(nbytes)``."""
-        duration = self.spec.read_time(nbytes) * self.slowdown
-        yield from self._service(duration)
-        self.reads += 1
-        self.bytes_read += nbytes
-        self.busy_seconds += duration
+        yield from self._service(nbytes, write=False)
 
     def write(self, nbytes: int) -> Generator:
         """Write an object (content copy landing); same service model."""
-        duration = self.spec.read_time(nbytes) * self.slowdown
-        yield from self._service(duration)
-        self.writes += 1
-        self.bytes_written += nbytes
-        self.busy_seconds += duration
+        yield from self._service(nbytes, write=True)
 
     def utilization(self) -> float:
         return self._arm.utilization()

@@ -86,9 +86,6 @@ class BackendServer:
         self.active_requests = 0
         self.completed_requests = 0
         self.failed_requests = 0
-        #: served-from-memory requests collapsed to an O(1) segmented hold
-        #: (fast path only; mirrors ``Lan.fast_transfers``)
-        self.fast_serves = 0
         self.alive = True
 
     # -- content management hooks (driven by agents/controller) -------------
@@ -130,46 +127,7 @@ class BackendServer:
             raise RuntimeError(f"{self.name} is down")
         started = self.sim.now
         self.active_requests += 1
-        ks = self.sim.kernel_stats
-        if (self.sim.fast_path and item is not None
-                and not item.ctype.is_dynamic and item.path in self.cache):
-            factor = self._cpu_cost_factor()
-            # the eager cache access below is only equivalent if the event
-            # path's access (at the parse-burst boundary) also happens
-            # before any run-deadline freeze
-            fastable = (self.active_requests == 1 and self.holds(item.path)
-                        and self.workers.can_acquire
-                        and self.cpu._core.can_acquire
-                        and self.sim.fits_horizon(self.cpu.scaled(
-                            self.costs.static_base_cpu * factor)))
-            if ks is not None:
-                ks.on_fast_path("cache_hit", fastable)
-            if fastable:
-                # Served-from-memory cache hit with the node otherwise
-                # idle: collapse parse + copy into one segmented CPU hold
-                # (O(1) scheduled events).  With no other serve in flight,
-                # no cache operation can occur before the parse burst
-                # would have ended, so the eager access below is
-                # observably identical to the event path's access at the
-                # burst boundary; contention during the hold splits it
-                # back onto the event-accurate path.
-                self.fast_serves += 1
-                hit = self.cache.access(item.path)
-                copy_cost = (self.costs.cpu_per_kb
-                             * (item.size_bytes / 1024.0))
-                slot = self.workers.try_acquire()
-                try:
-                    yield from self.cpu.run_pair(
-                        self.costs.static_base_cpu * factor,
-                        copy_cost * factor)
-                    return self._finish(request, started,
-                                        content_length=item.size_bytes,
-                                        cache_hit=hit)
-                finally:
-                    self.workers.release(slot)
-                    self.active_requests -= 1
-        slot = (self.workers.try_acquire()
-                if self.sim.fast_path else None)
+        slot = self.sim.take_now(self.workers.try_acquire)
         if slot is None:
             slot = yield self.workers.request()
         try:
@@ -187,7 +145,27 @@ class BackendServer:
                                     content_length=item.size_bytes,
                                     cache_hit=False)
             # static path: protocol cost, then locate the bytes
-            yield from self.cpu.run(self.costs.static_base_cpu * factor)
+            parse = self.costs.static_base_cpu * factor
+            copy = self.costs.cpu_per_kb * (item.size_bytes / 1024.0)
+            if item.path in self.cache:
+                # Served-from-memory hit on an otherwise idle node: parse
+                # and copy fuse into one segmented CPU hold.  With no other
+                # serve in flight no cache operation can come before the
+                # parse burst would have ended, so the early access below
+                # is observably the event path's access at the burst
+                # boundary (Cpu.fuses also keeps that boundary inside the
+                # run deadline).
+                fused = (self.active_requests == 1
+                         and self.holds(item.path)
+                         and self.cpu.fuses(parse))
+                self.sim.note_fast_path("cache_hit", fused)
+                if fused:
+                    hit = self.cache.access(item.path)
+                    yield from self.cpu.run_pair(parse, copy * factor)
+                    return self._finish(request, started,
+                                        content_length=item.size_bytes,
+                                        cache_hit=hit)
+            yield from self.cpu.run(parse)
             if not self.holds(item.path):
                 if self.nfs is not None:
                     # NFS serve-through: close-to-open consistency forces a
@@ -195,7 +173,6 @@ class BackendServer:
                     # in the local memory cache -- §5.3: "the majority of
                     # the requested content could not be found locally"
                     yield from self.nfs.read(item, self.nic)
-                    copy = self.costs.cpu_per_kb * (item.size_bytes / 1024.0)
                     yield from self.cpu.run(copy * factor)
                     return self._finish(request, started,
                                         content_length=item.size_bytes,
@@ -207,8 +184,7 @@ class BackendServer:
             if not hit:
                 yield from self.disk.read(item.size_bytes)
                 self.cache.admit(item.path, item.size_bytes)
-            copy_cost = self.costs.cpu_per_kb * (item.size_bytes / 1024.0)
-            yield from self.cpu.run(copy_cost * factor)
+            yield from self.cpu.run(copy * factor)
             return self._finish(request, started,
                                 content_length=item.size_bytes,
                                 cache_hit=hit)

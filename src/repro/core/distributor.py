@@ -18,7 +18,7 @@ from ..cluster import BackendServer, NodeSpec
 from ..content import ContentItem
 from ..net import HttpRequest, Lan
 from ..sim import Simulator
-from .conn_pool import PoolManager, PooledConnection
+from .conn_pool import PoolManager
 from .frontend import Frontend, FrontendCosts
 from .overload import OverloadConfig
 from .policies import LeastLoadedReplica, Policy
@@ -74,38 +74,16 @@ class ContentAwareDistributor(Frontend):
         """HTTP parse + URL-table lookup + replica selection."""
         tracer = self.tracer
         tid = request.trace_id or None
-        if (tracer is None and self.sim.fast_path
-                and self.cpu._core.can_acquire
-                and self.sim.fits_horizon(
-                    self.cpu.scaled(self.costs.http_parse_cpu))):
-            # Collapse parse + lookup into one segmented CPU hold.  The
-            # eager table probe is safe: only route() touches the URL
-            # table, and no competing route can complete its parse burst
-            # (the step that precedes its probe) while we hold the core;
-            # the horizon gate guarantees the event path's probe (at the
-            # parse boundary) would also precede any run-deadline freeze.
-            before_hits = self.url_table.cache_hits
-            try:
-                record = self.url_table.lookup(request.url)
-            except UrlTableError:
-                # unknown URL: single burst, nothing to merge
-                self.metrics.counter("route/unknown-url").increment()
-                yield from self.cpu.run(self.costs.http_parse_cpu)
-                return None, None
-            if self.url_table.cache_hits > before_hits:
-                lookup_cpu = self.costs.lookup_cache_hit_cpu
-            else:
-                levels = self.url_table.lookup_cost_levels(request.url)
-                lookup_cpu = self.costs.lookup_per_level_cpu * levels
-            yield from self.cpu.run_pair(self.costs.http_parse_cpu,
-                                         lookup_cpu)
-            backend = self.policy.select(
-                self._replicas(request.url, record), self.view)
-            if backend is None:
-                self.metrics.counter("route/no-replica-alive").increment()
-                return None, None
-            return backend, record.item
-        yield from self.cpu.run(self.costs.http_parse_cpu)
+        parse = self.costs.http_parse_cpu
+        # Fuse parse + lookup into one segmented CPU hold when the early
+        # table probe is unobservable: only route() reads the URL table,
+        # no competing route can finish its parse burst (the step before
+        # its probe) while we hold the core, Cpu.fuses keeps the event
+        # path's probe (at the parse boundary) inside the run deadline,
+        # and no tracer timestamps the probe.
+        fused = tracer is None and self.cpu.fuses(parse)
+        if not fused:
+            yield from self.cpu.run(parse)
         before_hits = self.url_table.cache_hits
         try:
             record = self.url_table.lookup(request.url)
@@ -114,18 +92,24 @@ class ContentAwareDistributor(Frontend):
             if tracer is not None:
                 tracer.point("lookup", "unknown-url", trace_id=tid,
                              node=self.name, reason="unknown-url")
+            if fused:
+                yield from self.cpu.run(parse)
             return None, None
         if self.url_table.cache_hits > before_hits:
             if tracer is not None:
                 tracer.point("lookup", "cache-hit", trace_id=tid,
                              node=self.name)
-            yield from self.cpu.run(self.costs.lookup_cache_hit_cpu)
+            lookup_cpu = self.costs.lookup_cache_hit_cpu
         else:
             levels = self.url_table.lookup_cost_levels(request.url)
             if tracer is not None:
                 tracer.point("lookup", "cache-miss", trace_id=tid,
                              node=self.name, levels=levels)
-            yield from self.cpu.run(self.costs.lookup_per_level_cpu * levels)
+            lookup_cpu = self.costs.lookup_per_level_cpu * levels
+        if fused:
+            yield from self.cpu.run_pair(parse, lookup_cpu)
+        else:
+            yield from self.cpu.run(lookup_cpu)
         backend = self.policy.select(self._replicas(request.url, record),
                                      self.view)
         if backend is None:
@@ -138,11 +122,9 @@ class ContentAwareDistributor(Frontend):
 
     def acquire_backend(self, backend: str) -> Generator:
         pool = self.pools.pool(backend)
-        if self.sim.fast_path:
-            conn = pool.try_acquire()
-            if conn is not None:
-                return conn
-        conn: PooledConnection = yield pool.acquire()
+        conn = self.sim.take_now(pool.try_acquire)
+        if conn is None:
+            conn = yield pool.acquire()
         return conn
 
     def release_backend(self, backend: str, token) -> None:

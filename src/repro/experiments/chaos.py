@@ -103,7 +103,7 @@ class ChaosRunner:
                  duration: float = 6.0, clients: int = 10,
                  n_objects: int = 300, settle: float = 2.5,
                  extra_faults: int = 2, trace: bool = False,
-                 fast_path: bool = False,
+                 fast_path: bool = True,
                  telemetry: Optional[float] = None):
         if episodes < 1:
             raise ValueError("need at least one episode")
@@ -120,7 +120,8 @@ class ChaosRunner:
         #: result then carries the flight recorder's final timeline
         self.trace = trace
         #: run every episode on the kernel fast path (byte-identical
-        #: outcomes; the equivalence suite pins this)
+        #: outcomes; the equivalence suite pins this); False runs the
+        #: event-accurate oracle
         self.fast_path = fast_path
         #: sample windowed telemetry with this window length (sim seconds)
         #: and evaluate the chaos SLOs per episode; None = off
@@ -511,7 +512,7 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
                          config: OverloadConfig = OVERLOAD_EPISODE_CONFIG,
                          enabled: bool = True,
                          trace: bool = False,
-                         fast_path: bool = False,
+                         fast_path: bool = True,
                          telemetry: Optional[float] = None,
                          slos=None,
                          kernel_stats: bool = False) -> OverloadEpisodeResult:

@@ -48,7 +48,7 @@ def render_table(title: str, headers: Sequence[str],
 
 def _sweep(scheme: str, workload, clients: Sequence[int],
            duration: float, warmup: float, seed: int,
-           fast_path: bool = False) -> list[dict]:
+           fast_path: bool = True) -> list[dict]:
     results = []
     for n in clients:
         config = ExperimentConfig(scheme=scheme, workload=workload,
@@ -62,7 +62,7 @@ def _sweep(scheme: str, workload, clients: Sequence[int],
 
 def figure2(clients: Sequence[int] = DEFAULT_CLIENTS,
             duration: float = 14.0, warmup: float = 4.0,
-            seed: int = 42, fast_path: bool = False) -> dict:
+            seed: int = 42, fast_path: bool = True) -> dict:
     """Figure 2: Workload A throughput for the three placement schemes.
 
     Expected shape (the paper's result): NFS far below both, flat (the
@@ -94,7 +94,7 @@ def figure2(clients: Sequence[int] = DEFAULT_CLIENTS,
 
 def figure3(clients: Sequence[int] = DEFAULT_CLIENTS,
             duration: float = 14.0, warmup: float = 4.0,
-            seed: int = 42, fast_path: bool = False) -> dict:
+            seed: int = 42, fast_path: bool = True) -> dict:
     """Figure 3: Workload B throughput, replication+WLC vs partition+CA.
 
     Expected shape: the content-aware configuration outperforms

@@ -48,9 +48,11 @@ def collect_golden_metrics() -> dict:
     # both observers are passive, the overload counters must match a
     # bare run exactly -- the fixture itself pins the zero-perturbation
     # contract -- and the span/window counts become the trace_summary /
-    # telemetry_summary golden surfaces
+    # telemetry_summary golden surfaces.  The telemetry windows count
+    # scheduled kernel events, which the fast path's collapses change, so
+    # this episode runs on the event-accurate oracle.
     ovl = run_overload_episode(**GOLDEN_OVERLOAD_SCALE, trace=True,
-                               telemetry=0.5)
+                               telemetry=0.5, fast_path=False)
     tel = ovl.telemetry.summary()
     return {
         "scale": {"clients": list(scale["clients"]),

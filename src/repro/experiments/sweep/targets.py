@@ -103,7 +103,7 @@ def _target_cell(params: dict) -> dict:
         duration=params.get("duration", 8.0),
         n_client_machines=params.get("n_client_machines", 24),
         prewarm=params.get("prewarm", True),
-        fast_path=params.get("fast_path", False))
+        fast_path=params.get("fast_path", True))
     summary = build_deployment(config).run(params["clients"])
     return {"completed": summary["completed"],
             "errors": summary["errors"],
@@ -130,7 +130,7 @@ def _target_chaos(params: dict) -> dict:
         n_objects=params.get("n_objects", 300),
         settle=params.get("settle", 2.5),
         extra_faults=params.get("extra_faults", 2),
-        fast_path=params.get("fast_path", False),
+        fast_path=params.get("fast_path", True),
         telemetry=telemetry)
     runner.run()
     episodes = [{"episode": r.episode,
@@ -178,7 +178,7 @@ def _target_overload(params: dict) -> dict:
         settle=params.get("settle", 2.5),
         multiplier=params.get("multiplier", 4.0),
         enabled=params.get("enabled", True),
-        fast_path=params.get("fast_path", False),
+        fast_path=params.get("fast_path", True),
         telemetry=telemetry)
     out = {"completed": result.completed,
            "errors": result.errors,
@@ -250,7 +250,7 @@ def _target_openloop(params: dict) -> dict:
         rate=params.get("rate", 400.0),
         duration=params.get("duration", 2.0),
         seed=params["seed"],
-        fast_path=params.get("fast_path", False),
+        fast_path=params.get("fast_path", True),
         prefork=params.get("prefork", 8),
         mss=params.get("mss", 1460))
     # wall_s is deliberately dropped: it measures the host, not the model

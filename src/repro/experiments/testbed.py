@@ -68,11 +68,12 @@ class ExperimentConfig:
     #: breaker/shed/pool point events, and a flight recorder.  Off by
     #: default -- tracer=None keeps the event sequence byte-for-byte
     trace: bool = False
-    #: enable the kernel fast path (DESIGN.md §11): resource grants become
+    #: run on the kernel fast path (DESIGN.md §11): resource grants become
     #: synchronous and fault-free exchanges collapse to single completion
-    #: events.  Off by default; when on, golden metrics, trace JSONL, and
-    #: chaos outcome tables are byte-identical to the event-accurate path
-    fast_path: bool = False
+    #: events.  On by default; golden metrics, trace JSONL, and chaos
+    #: outcome tables are byte-identical to the event-accurate path, which
+    #: False selects (the equivalence tests' and benchmarks' oracle)
+    fast_path: bool = True
     #: attach a repro.obs KernelStats scheduler observer (with call-site
     #: attribution): per-event-class scheduled/fired/cancelled counts,
     #: heap high-water, pool recycling.  Passive -- byte-identical off/on

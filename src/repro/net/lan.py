@@ -143,87 +143,59 @@ class Lan:
         b = dst.bytes_per_second
         return nbytes * WIRE_OVERHEAD / (a if a <= b else b) + self.latency
 
+    def _extra_latency_now(self) -> float:
+        return self.extra_latency
+
     def transfer(self, src: Nic, dst: Nic,
                  nbytes: int) -> Generator:
         """Move ``nbytes`` from ``src`` to ``dst``; use ``yield from``.
 
         Blocks while either endpoint NIC is busy, then holds both channels
         for the serialization time.  Returns the completion time.
+
+        Active faults are paid first; then one body serves every transfer.
+        A fault-free transfer may take each idle channel synchronously and
+        the receiver by grant-and-hold (``Resource.hold``); a faulted one,
+        like every transfer on the event-accurate path, queues for both.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        ks = self.sim.kernel_stats
-        if (self.sim.fast_path and self._loss_rng is None
-                and not self._partitioned and self.extra_latency == 0.0):
-            # No active fault: acquire each endpoint channel synchronously
-            # when it is idle (bookkeeping-identical to the event-based
-            # grant, see Resource.try_acquire) and queue event-accurately
-            # on a busy one; the hold itself is one pooled timeout.  When
-            # both channels are idle this is the classic single-event
-            # fast transfer.  Any chaos fault (loss/delay/partition)
-            # falls through to the segment-accurate path below.
-            duration = self.transfer_time(src, dst, nbytes)
-            tx_sync = True
-            tx_req = src.tx.try_acquire()
-            if tx_req is None:
-                tx_sync = False
-                if ks is not None:
-                    ks.on_fast_path("lan", False)
-                tx_req = yield src.tx.request()
-            try:
-                rx_req = dst.rx.try_acquire()
-                if rx_req is not None:
-                    try:
-                        # hit = both channels idle at entry; a queued TX
-                        # already counted as a fallback above
-                        if tx_sync:
-                            self.fast_transfers += 1
-                            if ks is not None:
-                                ks.on_fast_path("lan", True)
-                        yield self.sim.hot_timeout(duration)
-                    finally:
-                        dst.rx.release(rx_req)
-                else:
-                    if tx_sync and ks is not None:
-                        ks.on_fast_path("lan", False)
-                    # Busy receiver: grant-and-hold -- the RX grant event
-                    # fires once, when the hold expires (Resource.request)
-                    rx_req = yield dst.rx.request(hold=duration)
-                    dst.rx.release(rx_req)
-            finally:
-                src.tx.release(tx_req)
-            self.total_transfers += 1
-            self.total_bytes += nbytes
-            src.bytes_sent += nbytes
-            dst.bytes_received += nbytes
-            return self.sim.now
-        if ks is not None and self.sim.fast_path:
-            ks.on_fast_path("lan", False)
-        # Faults are paid *before* acquiring either channel: a transfer
-        # stuck behind a partition must not hold the sender's TX and
-        # head-of-line-block unrelated traffic.
-        while self._crosses_partition(src, dst):
-            self.transfers_blocked += 1
-            yield self._heal_wait()
-        # re-checked each round: the fault may revert mid-retransmission
-        while (self._loss_rng is not None and
-               self._loss_rng.random() < self.loss_rate):
-            self.retransmissions += 1
-            yield self.sim.timeout(self.retransmit_delay)
-        tx_req = yield src.tx.request()
+        sim = self.sim
+        fault_free = (self._loss_rng is None and not self._partitioned
+                      and self.extra_latency == 0.0)
+        if not fault_free:
+            # Faults are paid *before* acquiring either channel: a
+            # transfer stuck behind a partition must not hold the sender's
+            # TX and head-of-line-block unrelated traffic.
+            while self._crosses_partition(src, dst):
+                self.transfers_blocked += 1
+                yield self._heal_wait()
+            # re-checked each round: the fault may revert mid-retransmission
+            while (self._loss_rng is not None and
+                   self._loss_rng.random() < self.loss_rate):
+                self.retransmissions += 1
+                yield sim.hot_timeout(self.retransmit_delay)
+        tx, rx = src.tx, dst.rx
+        tx_req = sim.take_now(tx.try_acquire) if fault_free else None
+        idle = tx_req is not None
+        if tx_req is None:
+            tx_req = yield tx.request()
         try:
             # the RX wait is interruptible: TX must not leak if this
             # transfer is torn down while queued for the receiver
-            rx_req = yield dst.rx.request()
-            try:
-                yield self.sim.timeout(self.transfer_time(src, dst, nbytes)
-                                       + self.extra_latency)
-            finally:
-                dst.rx.release(rx_req)
+            synchronous = yield from rx.hold(
+                self.transfer_time(src, dst, nbytes), collapse=fault_free,
+                extra=self._extra_latency_now)
         finally:
-            src.tx.release(tx_req)
+            tx.release(tx_req)
+        # a fast transfer found both channels idle and no fault at entry
+        fast = idle and synchronous
+        if fast:
+            self.fast_transfers += 1
+        if sim.kernel_stats is not None:
+            sim.note_fast_path("lan", fast)
         self.total_transfers += 1
         self.total_bytes += nbytes
         src.bytes_sent += nbytes
         dst.bytes_received += nbytes
-        return self.sim.now
+        return sim.now

@@ -182,13 +182,15 @@ class TcpSocket:
         self.snd_nxt += 1
         return self._connect_event
 
-    def send(self, payload, nbytes: int) -> None:
-        """Send one data segment carrying ``payload`` of ``nbytes`` bytes."""
+    def send(self, payload, nbytes: int, frags: int = 1) -> None:
+        """Send one data segment carrying ``payload`` of ``nbytes`` bytes
+        (``frags`` > 1: an aggregated burst, see :meth:`send_data`)."""
         if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
             raise ProtocolError(f"send() in state {self.state}")
         if nbytes <= 0:
             raise ValueError("nbytes must be positive")
-        self._emit(_ACK_PSH, payload_len=nbytes, payload=payload)
+        self._emit(_ACK_PSH, payload_len=nbytes, payload=payload,
+                   frags=frags)
         self.snd_nxt += nbytes
 
     def send_data(self, payload, nbytes: int, mss: int = 1460) -> int:
@@ -212,12 +214,8 @@ class TcpSocket:
         full, rest = divmod(nbytes, mss)
         nsegs = full + (1 if rest else 0)
         if nsegs > 1 and self.sim.fast_path:
-            if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
-                raise ProtocolError(f"send() in state {self.state}")
+            self.send(payload, nbytes, frags=nsegs)
             self.net.flow_forwards += 1
-            self._emit(_ACK_PSH, payload_len=nbytes,
-                       payload=payload, frags=nsegs)
-            self.snd_nxt += nbytes
             return nsegs
         sizes = [mss] * full + ([rest] if rest else [])
         for size in sizes[:-1]:

@@ -429,10 +429,12 @@ class Simulator:
         self._eid = 0
         self._active_process: Optional[Process] = None
         self.debug = debug
-        #: opt-in kernel fast path: resource primitives may grant
-        #: synchronously and collapse multi-event exchanges into a single
-        #: completion timeout when (and only when) the collapsed form is
-        #: observably identical to the event-by-event one.
+        #: kernel fast path: resource primitives may grant synchronously
+        #: and collapse multi-event exchanges into a single completion
+        #: timeout when (and only when) the collapsed form is observably
+        #: identical to the event-by-event one.  ``False`` is the
+        #: event-accurate oracle.  Only ``repro.sim`` chooses between the
+        #: two (:meth:`take_now`, :meth:`call`, ``Resource.hold``).
         self.fast_path = fast_path
         #: queue backend selection, fixed at construction: the reference
         #: engine keeps the flat heap; the fast path runs on the two-level
@@ -451,7 +453,7 @@ class Simulator:
         self._pending = 0
         self._batch_n = 0
         #: the active :meth:`run` deadline; segmented holds must finish
-        #: inside it (see :meth:`fits_horizon`) or stay event-accurate,
+        #: inside it (see ``Resource.segmentable``) or stay event-accurate,
         #: else a truncated run would freeze them with boundary effects
         #: (cache access, first-burst bookkeeping) in a different state
         #: than the event path's.
@@ -484,10 +486,61 @@ class Simulator:
         """The process currently executing, if any."""
         return self._active_process
 
-    def fits_horizon(self, delay: float) -> bool:
-        """True when an operation of ``delay`` completes within the
-        active :meth:`run` deadline (events *at* the deadline fire)."""
-        return self._now + delay <= self._horizon
+    def _must_hop(self) -> bool:
+        """Whether a zero-delay hop must stand in for a spawned process's
+        start or join: always on the event-accurate path; on the fast
+        path only when an event is already queued for this instant (the
+        hop would otherwise be the very next event)."""
+        return not self.fast_path or bool(self._cur)
+
+    def _scheduled_at(self, when: float) -> bool:
+        """True when the calendar holds an event for the instant ``when``."""
+        if when <= self._now:
+            return bool(self._cur)
+        return bool(self._buckets.get(when))
+
+    # -- scheduling choices (fast path vs event-accurate) -----------------
+    def take_now(self, try_now: Callable[[], Any]) -> Any:
+        """The fast path's synchronous grant: ``try_now()`` on the fast
+        path (``None`` when the caller would have to queue), always
+        ``None`` on the event-accurate path.  On ``None`` the caller
+        waits on its request event; the synchronous grant is
+        bookkeeping-identical to that event's (see
+        :meth:`repro.sim.Resource.try_acquire`)."""
+        return try_now() if self.fast_path else None
+
+    def call(self, generator: Generator) -> Generator:
+        """Run ``generator`` inside the calling process; use ``yield from``.
+
+        Observably the same as spawning it as a process and joining it
+        (``yield sim.process(generator)``).  A spawned process takes its
+        first step when its start event fires, after every event already
+        queued for the instant; its joiner resumes when the completion
+        event fires, after every event queued by then.  Each hand-off is a
+        zero-delay hop here, which the fast path skips when nothing else is
+        queued for the instant (:meth:`_must_hop`).  The caller must not
+        be interrupted meanwhile: an interrupt would reach ``generator``,
+        which a joined process's interrupt never does.
+        """
+        if self._must_hop():
+            yield self.hot_timeout(0.0)
+        try:
+            value = yield from generator
+        except Exception:
+            if self._must_hop():
+                yield self.hot_timeout(0.0)
+            raise
+        if self._must_hop():
+            yield self.hot_timeout(0.0)
+        return value
+
+    def note_fast_path(self, layer: str, hit: bool) -> None:
+        """Report one fast-path decision of ``layer`` to the kernel
+        observer (fast path only; observation never changes a result)."""
+        ks = self.kernel_stats
+        if ks is None or not self.fast_path:
+            return
+        ks.on_fast_path(layer, hit)
 
     # -- event creation ---------------------------------------------------
     def event(self) -> SimEvent:
@@ -503,8 +556,8 @@ class Simulator:
 
         The returned event is recycled by :meth:`step` immediately after it
         fires, so callers must *not* keep a reference past their ``yield``
-        (no conditions, no post-hoc ``triggered`` checks).  Only the kernel
-        fast paths use this; everything else goes through :meth:`timeout`.
+        (no post-hoc ``triggered`` checks).  Pooling changes no event
+        order, so both paths use it on hot sites.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")

@@ -18,7 +18,7 @@ total waits, utilization integrals).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .engine import SimEvent, Simulator, Timeout
 from .engine import _PENDING
@@ -49,7 +49,7 @@ class Request(SimEvent):
         self.requested_at = resource.sim._now
         self.granted_at: Optional[float] = None
         self.cancelled = False
-        #: grant-and-hold duration (fast path only; see Resource.request)
+        #: grant-and-hold duration (see Resource.request)
         self.hold: Optional[float] = None
 
     def cancel(self) -> None:
@@ -81,7 +81,7 @@ class Resource:
         #: active segmented hold (fast path only):
         #: (holder request, boundary time, pooled timeout, fire time)
         self._seg: Optional[tuple] = None
-        #: recycled Request objects (fast path only; see :meth:`release`)
+        #: recycled Request objects (see :meth:`release`)
         self._req_pool: list[Request] = []
 
     # -- metrics ------------------------------------------------------------
@@ -122,6 +122,7 @@ class Resource:
             req.requested_at = self.sim._now
             req.granted_at = None
             req.cancelled = False
+            req.hold = None
             return req
         return Request(self, priority)
 
@@ -129,8 +130,8 @@ class Resource:
                 hold: Optional[float] = None) -> Request:
         """Ask for one unit of the resource.  Yield the returned event.
 
-        ``hold`` (fast path only) is the *grant-and-hold* collapse: when
-        the caller already knows it will hold the unit for exactly
+        ``hold`` (the fast path's *grant-and-hold*, see :meth:`hold`):
+        when the caller already knows it will hold the unit for exactly
         ``hold`` seconds and then release, the grant event is scheduled
         directly at ``grant_time + hold`` instead of waking the owner at
         the grant just so it can arm the same timer.  One event and one
@@ -140,10 +141,14 @@ class Resource:
         The owner must call :meth:`release` immediately on wake-up.
         """
         seg = self._seg
-        if seg is not None and self.sim._now <= seg[1]:
-            # A contender arrived at or before a segmented hold's internal
+        if seg is not None and self.sim._now < seg[1]:
+            # A contender arrived before a segmented hold's internal
             # boundary: split the hold so the grant timeline is identical
-            # to the event-by-event path.
+            # to the event-by-event path.  A contender arriving exactly at
+            # the boundary was scheduled after the hold began
+            # (:meth:`segmentable` refuses a boundary with an event already
+            # queued), so the event path fires the boundary first and the
+            # holder keeps the unit: no split.
             self._split_segment()
         req = self._take_request(priority)
         req.hold = hold
@@ -192,21 +197,125 @@ class Resource:
         users.append(req)
         return req
 
+    # -- holds ------------------------------------------------------------------
+    def hold(self, duration: float, layer: Optional[str] = None,
+             collapse: bool = True,
+             extra: Optional[Callable[[], float]] = None) -> Generator:
+        """Acquire one unit, hold it ``duration`` seconds, release it; use
+        ``yield from``.  Returns True when the grant was synchronous.
+
+        One operation, three schedules with the same grant timeline and
+        bookkeeping:
+
+        * fast path, unit free: a synchronous grant (:meth:`try_acquire`)
+          and one pooled timeout;
+        * fast path, unit busy: grant-and-hold (``request(hold=...)``), one
+          event for the grant and the hold together;
+        * event-accurate path, or ``collapse=False``: :meth:`request`,
+          then a pooled timeout armed when the grant wakes the holder.
+
+        ``extra``, when given, returns seconds added to the hold when the
+        unit is granted: state that may change while the holder queues.
+        Grant-and-hold could only read it at request time, so callers
+        collapse only while it is zero and the collapsed schedules skip
+        it.  ``layer`` names the caller in the kernel observer's fast-path
+        hit/fallback counts.
+        """
+        sim = self.sim
+        if collapse and sim.fast_path:
+            req = self.try_acquire()
+            ks = sim.kernel_stats
+            if ks is not None and layer is not None:
+                ks.on_fast_path(layer, req is not None)
+            if req is None:
+                req = yield self.request(hold=duration)
+                self.release(req)
+                return False
+            try:
+                yield sim.hot_timeout(duration)
+            finally:
+                self.release(req)
+            return True
+        if layer is not None:
+            sim.note_fast_path(layer, False)
+        req = yield self.request()
+        try:
+            if extra is not None:
+                duration += extra()
+            yield sim.hot_timeout(duration)
+        finally:
+            self.release(req)
+        return False
+
+    def hold_detached(self, duration: float,
+                      then: Callable[[], Any]) -> None:
+        """A fire-and-forget :meth:`hold`; ``then()`` runs after release.
+
+        The hold starts where a freshly spawned process would start it:
+        when its start event fires, after every event already queued for
+        this instant.  The event-accurate path spawns that process.  The
+        fast path builds none: it joins the queue by grant-and-hold, now
+        when nothing is queued for the instant (the start event would have
+        been the very next event), else from a zero-delay callback at the
+        start event's position.
+        """
+        sim = self.sim
+        if not sim.fast_path:
+            sim.process(self._hold_then(duration, then), name=self.name)
+        elif sim._must_hop():
+            sim.schedule(0.0, lambda: self._start_detached(duration, then))
+        else:
+            self._start_detached(duration, then)
+
+    def _hold_then(self, duration: float, then: Callable[[], Any]):
+        yield from self.hold(duration)
+        then()
+
+    def _start_detached(self, duration: float,
+                        then: Callable[[], Any]) -> None:
+        req = self.request(hold=duration)
+        req.add_callback(lambda _ev: self._release_then(req, then))
+
+    def _release_then(self, req: Request, then: Callable[[], Any]) -> None:
+        self.release(req)
+        then()
+
     # -- segmented holds (fast path only) ------------------------------------
+    def segmentable(self, first_delay: float,
+                    second_delay: float = 0.0) -> bool:
+        """True when :meth:`hold_segmented` may start now.
+
+        That needs the fast path, a free unit, the whole hold inside the
+        active run deadline (a truncated hold would freeze with the
+        boundary bookkeeping unapplied), and no event already queued for
+        the boundary instant.  The last rule settles ties by scheduling
+        order: any contender arriving exactly at the boundary was then
+        scheduled after the hold began, so the event-accurate path fires
+        the boundary first and the holder keeps the unit.
+        """
+        sim = self.sim
+        if not sim.fast_path or self.queue or \
+                len(self.users) >= self.capacity:
+            return False
+        boundary = sim._now + first_delay
+        return (boundary + second_delay <= sim._horizon
+                and not sim._scheduled_at(boundary))
+
     def hold_segmented(self, request: Request, first_delay: float,
                        second_delay: float) -> Timeout:
         """Collapse two back-to-back holds by ``request``'s owner into one
         pooled timeout with a recorded internal boundary.
 
-        The caller holds the resource for both bursts and yields the
-        returned timeout.  If nothing contends, it wakes once at the end
-        (value ``None``) and the elided re-acquire's bookkeeping is the
-        caller's responsibility.  If a contender requests the resource at
-        or before the boundary, the pending timeout is *cancelled by
-        handle*, re-armed to fire at the boundary, and delivers
-        :data:`SEGMENT_SPLIT` -- the caller must then release at the
-        boundary (granting the contender exactly when the event-accurate
-        path would) and replay the second hold through the normal path.
+        Only valid when :meth:`segmentable` said so.  The caller holds the
+        resource for both bursts and yields the returned timeout.  If
+        nothing contends, it wakes once at the end (value ``None``) and
+        the elided re-acquire's bookkeeping is the caller's
+        responsibility.  If a contender requests the resource before the
+        boundary, the pending timeout is *cancelled by handle*, re-armed
+        to fire at the boundary, and delivers :data:`SEGMENT_SPLIT` -- the
+        caller must then release at the boundary (granting the contender
+        exactly when the event-accurate path would) and replay the second
+        hold through the normal path.
         """
         assert self._seg is None, "nested segmented hold"
         sim = self.sim
@@ -228,8 +337,12 @@ class Resource:
         waiters = timeout.callbacks
         timeout.callbacks = []
         sim._timeout_pool.append(timeout)
-        # Re-arm at the exact boundary (reusing the cancelled handle).
+        # Re-arm at the exact boundary (reusing the cancelled handle), at
+        # the head of its bucket: the event path scheduled the boundary
+        # when the hold began, before everything queued there since.
         rearmed = sim.hot_timeout_at(boundary)
+        bucket = sim._buckets[boundary]
+        bucket.insert(0, bucket.pop())
         rearmed._value = SEGMENT_SPLIT
         for cb in waiters:
             rearmed.add_callback(cb)
@@ -258,7 +371,7 @@ class Resource:
         del users[idx]
         if self.queue:
             self._grant()
-        if self.sim.fast_path and type(request) is Request:
+        if type(request) is Request:
             # The handle is dead past this point by contract; recycle it.
             self._req_pool.append(request)
 

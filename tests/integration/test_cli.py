@@ -75,6 +75,18 @@ class TestCommands:
         # bench marker), not in tier-1 where host load would flake it
         assert set(payload["target"]) == {"met", "min_speedup", "stage"}
 
+    def test_bench_without_output_writes_no_file(self, tmp_path,
+                                                 monkeypatch, capsys):
+        # run in an empty directory: without --output the command prints
+        # and must not leave (or overwrite) any file
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("bench", "--scale", "quick", "--smoke",
+                       "--stages", "openloop_latency") == 0
+        out = capsys.readouterr().out
+        assert "fast path vs segment path" in out
+        assert "wrote" not in out
+        assert list(tmp_path.iterdir()) == []
+
     def test_bench_rejects_unknown_stage(self, tmp_path, capsys):
         assert run_cli("bench", "--stages", "nope",
                        "--output", str(tmp_path / "x.json")) == 2
