@@ -30,6 +30,10 @@ Precision notes
   defaults to ``None``, or an ``Optional`` annotation).
   ``OverloadControl.retry_budget`` is constructed unconditionally and
   is exempt; ``FailoverPair.retry_budget`` is optional and checked.
+* The observers in :data:`SIM_OBSERVERS` live on the simulator, which
+  sets each to ``None`` until it is attached: ``sim.<gate>``,
+  ``self.sim.<gate>`` and ``<name>.sim.<gate>`` are always-optional
+  references to that gate, in any class or function.
 * Locals are tracked as gate aliases when every assignment to them
   copies a gate attribute (``tracer = self.tracer``); parameters named
   after a gate are aliases too, and a parameter *without* a ``None``
@@ -115,7 +119,18 @@ GATES: tuple[GateSpec, ...] = (
 
 FAST_PATH_ATTR = "fast_path"
 
+#: gates held by the simulator (``Simulator.__init__`` sets them to None)
+SIM_OBSERVERS = frozenset({"tracer", "kernel_stats", "telemetry"})
+
 _GATE_BY_ATTR = {g.attr: g for g in GATES}
+
+
+def _is_sim(expr: ast.expr) -> bool:
+    """``sim``, or ``<name>.sim`` (``self.sim`` included)."""
+    if isinstance(expr, ast.Name):
+        return expr.id == "sim"
+    return (isinstance(expr, ast.Attribute) and expr.attr == "sim"
+            and isinstance(expr.value, ast.Name))
 
 
 def _is_none(expr: ast.AST) -> bool:
@@ -201,15 +216,18 @@ class _FuncEnv:
     def gate_of_attr(self, expr: ast.Attribute) -> Optional[str]:
         """Gate key when ``expr`` is a gate attribute reference.
 
-        Only ``self.<gate>`` counts: gates are per-instance fields, and
-        whether a *foreign* object's field can be ``None`` is that
-        class's contract (``ctl.retry_budget`` on an ``OverloadControl``
-        is always set; the enclosing ``ctl`` access is itself checked as
-        a use of the ``overload`` gate)."""
+        ``self.<gate>`` counts where this class can leave it ``None``;
+        a *foreign* object's field is that class's contract
+        (``ctl.retry_budget`` on an ``OverloadControl`` is always set;
+        the enclosing ``ctl`` access is itself checked as a use of the
+        ``overload`` gate).  The exception is the simulator's observers,
+        optional on every simulator (:data:`SIM_OBSERVERS`)."""
         if expr.attr not in _GATE_BY_ATTR:
             return None
         if isinstance(expr.value, ast.Name) and expr.value.id == "self":
             return expr.attr if expr.attr in self.optional_attrs else None
+        if expr.attr in SIM_OBSERVERS and _is_sim(expr.value):
+            return expr.attr
         return None
 
     def key_of(self, expr: ast.AST) -> Optional[str]:
@@ -579,7 +597,8 @@ def analyze_gates(tree: ast.Module, path: str) -> list[Violation]:
             if name in direct or name not in by_name:
                 continue
             granted = frozenset.intersection(*held_sets)
-            granted = frozenset(g for g in granted if g in optional_attrs)
+            granted = frozenset(g for g in granted
+                                if g in optional_attrs or g in SIM_OBSERVERS)
             if not granted:
                 continue
             func = by_name[name]

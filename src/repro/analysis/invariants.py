@@ -227,9 +227,9 @@ def install_invariants(deployment, every: int = 200) -> None:
     every ``every`` simulation events and raise :class:`InvariantError`
     from :meth:`Simulator.run` at the first incoherent state.
 
-    When the deployment carries a :class:`repro.obs.Tracer`, the raised
-    error includes the flight recorder's timeline -- the last events that
-    led up to the incoherent state.
+    When the deployment's simulator carries a :class:`repro.obs.Tracer`,
+    the raised error includes the flight recorder's timeline -- the last
+    events that led up to the incoherent state.
     """
     def _check() -> None:
         try:
@@ -239,7 +239,7 @@ def install_invariants(deployment, every: int = 200) -> None:
                               nfs=getattr(deployment, "nfs", None),
                               catalog=getattr(deployment, "catalog", None))
         except InvariantError as err:
-            tracer = getattr(deployment, "tracer", None)
+            tracer = deployment.sim.tracer
             if tracer is not None and not err.timeline:
                 raise InvariantError(err.violations,
                                      timeline=tracer.recorder.render()) \

@@ -46,7 +46,7 @@ class FaultSchedule:
     def install(self, targets: ChaosTargets) -> list[Injection]:
         """Register every fault on the target simulator; returns records."""
         sim = targets.sim
-        tracer = targets.tracer
+        tracer = sim.tracer
         injections = []
 
         def traced(fault: Fault, action: str, op) -> None:

@@ -45,15 +45,13 @@ class ConnectionPool:
     """The available-connection list for one backend."""
 
     def __init__(self, sim: Simulator, backend: str, prefork: int = 8,
-                 max_size: Optional[int] = None, tracer=None):
+                 max_size: Optional[int] = None):
         if prefork < 1:
             raise ValueError("prefork must be >= 1")
         if max_size is not None and max_size < prefork:
             raise ValueError("max_size must be >= prefork")
         self.sim = sim
         self.backend = backend
-        #: repro.obs tracer; acquire/release become "pool" point events
-        self.tracer = tracer
         self.prefork = prefork
         self.max_size = max_size if max_size is not None else prefork
         self._idle: Store = Store(sim, name=f"pool:{backend}")
@@ -111,10 +109,10 @@ class ConnectionPool:
             self.waits += 1
             self.waiting += 1
             self.peak_waiting = max(self.peak_waiting, self.waiting)
-        if self.tracer is not None:
-            self.tracer.point("pool", "acquire", node=self.backend,
-                              idle=len(self._idle), waited=waited,
-                              grown=grew)
+        if self.sim.tracer is not None:
+            self.sim.tracer.point("pool", "acquire", node=self.backend,
+                                  idle=len(self._idle), waited=waited,
+                                  grown=grew)
         ev = self._idle.get()
         if waited:
             ev.add_callback(self._waiter_served)
@@ -139,10 +137,10 @@ class ConnectionPool:
             self._idle.put(self._new_conn())
             self.grown += 1
             grew = True
-        if self.tracer is not None:
-            self.tracer.point("pool", "acquire", node=self.backend,
-                              idle=len(self._idle), waited=False,
-                              grown=grew)
+        if self.sim.tracer is not None:
+            self.sim.tracer.point("pool", "acquire", node=self.backend,
+                                  idle=len(self._idle), waited=False,
+                                  grown=grew)
         conn = self._idle.try_get()
         conn.in_use = True
         conn.uses += 1
@@ -169,9 +167,9 @@ class ConnectionPool:
         conn.in_use = False
         self._leased.pop(conn.conn_id, None)
         self.released += 1
-        if self.tracer is not None:
-            self.tracer.point("pool", "release", node=self.backend,
-                              idle=len(self._idle) + 1)
+        if self.sim.tracer is not None:
+            self.sim.tracer.point("pool", "release", node=self.backend,
+                                  idle=len(self._idle) + 1)
         self._idle.put(conn)
 
 
@@ -179,18 +177,17 @@ class PoolManager:
     """All per-backend pools, created lazily with shared defaults."""
 
     def __init__(self, sim: Simulator, prefork: int = 8,
-                 max_size: Optional[int] = None, tracer=None):
+                 max_size: Optional[int] = None):
         self.sim = sim
         self.prefork = prefork
         self.max_size = max_size
-        self.tracer = tracer
         self._pools: dict[str, ConnectionPool] = {}
 
     def pool(self, backend: str) -> ConnectionPool:
         if backend not in self._pools:
             self._pools[backend] = ConnectionPool(
                 self.sim, backend, prefork=self.prefork,
-                max_size=self.max_size, tracer=self.tracer)
+                max_size=self.max_size)
         return self._pools[backend]
 
     def pools(self) -> dict[str, ConnectionPool]:

@@ -40,13 +40,12 @@ class ContentAwareDistributor(Frontend):
                  warmup: float = 0.0,
                  client_latency: float = 0.0,
                  overload: Optional[OverloadConfig] = None,
-                 tracer=None,
                  name: Optional[str] = None):
         super().__init__(sim, lan, spec, servers,
                          policy=policy or LeastLoadedReplica(),
                          costs=costs, warmup=warmup,
                          client_latency=client_latency, overload=overload,
-                         tracer=tracer, name=name)
+                         name=name)
         self.url_table = url_table
         # Sorted replica lists, memoized per URL and stamped with the table
         # version: route() needs them on every request, while the location
@@ -54,7 +53,7 @@ class ContentAwareDistributor(Frontend):
         # which bumps ``url_table.version`` and lazily invalidates us.
         self._sorted_locs: dict[str, tuple[int, list[str]]] = {}
         self.pools = PoolManager(sim, prefork=prefork,
-                                 max_size=max_pool_size, tracer=tracer)
+                                 max_size=max_pool_size)
         # prefork eagerly to every backend, as the paper's distributor does
         for backend in servers:
             self.pools.pool(backend)
@@ -72,7 +71,7 @@ class ContentAwareDistributor(Frontend):
     # -- Frontend hooks --------------------------------------------------
     def route(self, request: HttpRequest) -> Generator:
         """HTTP parse + URL-table lookup + replica selection."""
-        tracer = self.tracer
+        tracer = self.sim.tracer
         tid = request.trace_id or None
         parse = self.costs.http_parse_cpu
         # Fuse parse + lookup into one segmented CPU hold when the early

@@ -85,8 +85,7 @@ class HaDistributorPair:
                  on_failover: Optional[
                      Callable[["HaDistributorPair"], None]] = None,
                  lease: Optional[DistributorLease] = None,
-                 recover_state: Optional[Callable[[], None]] = None,
-                 tracer=None):
+                 recover_state: Optional[Callable[[], None]] = None):
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if misses_to_fail < 1:
@@ -116,8 +115,6 @@ class HaDistributorPair:
         #: standby takes over from durable truth, not from scratch
         self.recover_state = recover_state
         self.lease_waits = 0
-        #: repro.obs tracer; heartbeat/takeover activity becomes "ha" points
-        self.tracer = tracer
         self.active = primary
         self.failed_over = False
         self.failover_at: Optional[float] = None
@@ -137,29 +134,28 @@ class HaDistributorPair:
         while not self.failed_over:
             yield self.sim.timeout(self.heartbeat_interval)
             self.heartbeats += 1
+            tracer = self.sim.tracer
             if self.primary.alive:
                 missed = 0
                 if self.lease is not None:
                     self.lease.renew()
-                if self.tracer is not None:
-                    self.tracer.point("ha", "heartbeat",
-                                      node=self.primary.name)
+                if tracer is not None:
+                    tracer.point("ha", "heartbeat", node=self.primary.name)
                 self._replicate_state()
             else:
                 missed += 1
-                if self.tracer is not None:
-                    self.tracer.point("ha", "heartbeat-miss",
-                                      node=self.primary.name, missed=missed)
+                if tracer is not None:
+                    tracer.point("ha", "heartbeat-miss",
+                                 node=self.primary.name, missed=missed)
                 if missed >= self.misses_to_fail:
                     if self.lease is not None and not self.lease.expired:
                         # the primary's claim on the role is still live:
                         # promoting now would risk two authorities
                         self.lease_waits += 1
-                        if self.tracer is not None:
-                            self.tracer.point(
-                                "ha", "lease-wait",
-                                node=self.primary.name,
-                                remaining=self.lease.remaining)
+                        if tracer is not None:
+                            tracer.point("ha", "lease-wait",
+                                         node=self.primary.name,
+                                         remaining=self.lease.remaining)
                         continue
                     self._take_over()
 
@@ -181,10 +177,9 @@ class HaDistributorPair:
         self.active = self.backup
         reason = ("missed-heartbeats" if self.lease is None
                   else "lease-expired")
-        if self.tracer is not None:
-            self.tracer.point("ha", "takeover", node=self.backup.name,
-                              failed=self.primary.name,
-                              reason=reason)
+        if self.sim.tracer is not None:
+            self.sim.tracer.point("ha", "takeover", node=self.backup.name,
+                                  failed=self.primary.name, reason=reason)
         if self.on_failover is not None:
             self.on_failover(self)
 
@@ -207,22 +202,22 @@ class HaDistributorPair:
             if attempts >= self.retry_attempts:
                 raise FrontendDown(
                     f"active distributor {self.active.name} is down")
+            tracer = self.sim.tracer
             if (self.retry_budget is not None and
                     not self.retry_budget.try_spend()):
                 self.budget_denied += 1
-                if self.tracer is not None:
-                    self.tracer.point("ha", "budget-denied",
-                                      node=self.active.name,
-                                      reason="retry-budget-exhausted")
+                if tracer is not None:
+                    tracer.point("ha", "budget-denied",
+                                 node=self.active.name,
+                                 reason="retry-budget-exhausted")
                 raise FrontendDown(
                     f"active distributor {self.active.name} is down "
                     f"(retry budget exhausted)")
             attempts += 1
             self.retries += 1
-            if self.tracer is not None:
-                self.tracer.point("ha", "outage-retry",
-                                  node=self.active.name, attempt=attempts,
-                                  backoff=delay)
+            if tracer is not None:
+                tracer.point("ha", "outage-retry", node=self.active.name,
+                             attempt=attempts, backoff=delay)
             yield self.sim.timeout(delay)
             delay *= 2
         return (yield from self.active.submit(request, client_nic))

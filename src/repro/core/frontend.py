@@ -73,7 +73,6 @@ class Frontend:
                  warmup: float = 0.0,
                  client_latency: float = 0.0,
                  overload: Optional[OverloadConfig] = None,
-                 tracer=None,
                  name: Optional[str] = None):
         if not servers:
             raise ValueError("a front end needs at least one backend")
@@ -110,18 +109,14 @@ class Frontend:
         #: regression test measures
         self.inflight = 0
         self.peak_inflight = 0
-        #: repro.obs tracer; None = tracing off, and -- exactly like
-        #: ``overload=None`` -- a byte-identical event sequence to the
-        #: uninstrumented front end (the tracer is purely passive)
-        self.tracer = tracer
-        if tracer is not None:
+        # wired at construction: a tracer must attach to sim before this
+        if sim.tracer is not None:
             self.mapping.on_transition = self._trace_splice
         #: the overload-control subsystem; None = the paper's unprotected
         #: data plane (and a byte-identical event sequence to it)
         self.overload: Optional[OverloadControl] = None
         if overload is not None:
-            self.overload = OverloadControl(sim, overload, self.view,
-                                            tracer=tracer)
+            self.overload = OverloadControl(sim, overload, self.view)
         # Interned per-request collectors: _finish runs once per request,
         # and rebuilding the f-string keys + registry probes dominated its
         # cost.  Entries are created lazily through the registry on first
@@ -133,8 +128,9 @@ class Frontend:
     def _trace_splice(self, entry, old: MappingState,
                       new: MappingState) -> None:
         """Mapping-table observation hook: one point per state change."""
-        self.tracer.point("splice", f"{old.value}->{new.value}",
-                          trace_id=entry.trace_id or None, node=self.name)
+        self.sim.tracer.point("splice", f"{old.value}->{new.value}",
+                              trace_id=entry.trace_id or None,
+                              node=self.name)
 
     # -- hooks subclasses implement ------------------------------------------
     def route(self, request: HttpRequest) -> Generator:
@@ -166,7 +162,7 @@ class Frontend:
         if not self.alive:
             raise RuntimeError(f"front end {self.name} is down")
         started = self.sim.now
-        tracer = self.tracer
+        tracer = self.sim.tracer
         span = None
         if tracer is not None:
             request.trace_id = tracer.new_trace()
@@ -209,7 +205,7 @@ class Frontend:
                        client_addr: Optional[Address],
                        started: float, span=None) -> Generator:
         """The §2.2 splice: bind, relay, serve, relay back, tear down."""
-        tracer = self.tracer
+        tracer = self.sim.tracer
         tid = span.trace_id if span is not None else None
         client = client_addr or Address("client", next(_client_ports))
         entry = self.mapping.create(client, started,
@@ -387,16 +383,17 @@ class Frontend:
         ctl = self.overload
         if ctl is None:
             return False
+        tracer = self.sim.tracer
         if attempts >= ctl.config.max_replica_retries:
-            if self.tracer is not None:
-                self.tracer.point("retry", "denied", trace_id=trace_id,
-                                  node=self.name, reason="max-attempts")
+            if tracer is not None:
+                tracer.point("retry", "denied", trace_id=trace_id,
+                             node=self.name, reason="max-attempts")
             return False
         if ctl.retry_budget.try_spend():
             return True
-        if self.tracer is not None:
-            self.tracer.point("retry", "denied", trace_id=trace_id,
-                              node=self.name, reason="budget-exhausted")
+        if tracer is not None:
+            tracer.point("retry", "denied", trace_id=trace_id,
+                         node=self.name, reason="budget-exhausted")
         return False
 
     def _shed(self, request: HttpRequest, started: float, counter: str,
@@ -406,14 +403,15 @@ class Frontend:
                                 completed_at=self.sim.now)
         self.metrics.counter(counter).increment()
         self._count_status(response.status)
-        if self.tracer is not None:
+        tracer = self.sim.tracer
+        if tracer is not None:
             name = counter.split("/", 1)[1]  # "shed" | "degraded"
             why = reason or name
-            self.tracer.point("shed", name,
-                              trace_id=span.trace_id if span else None,
-                              node=self.name, reason=why)
+            tracer.point("shed", name,
+                         trace_id=span.trace_id if span else None,
+                         node=self.name, reason=why)
             if span is not None:
-                self.tracer.end(span, status="503", shed=True, reason=why)
+                tracer.end(span, status="503", shed=True, reason=why)
         return RequestOutcome(response=response,
                               latency=self.sim.now - started, backend=None,
                               shed=True,
@@ -453,9 +451,9 @@ class Frontend:
         self._count_status(response.status)
         if self.on_response is not None:
             self.on_response(item, response)
-        if self.tracer is not None and span is not None:
-            self.tracer.end(span, status=str(response.status),
-                            backend=response.served_by or "")
+        if self.sim.tracer is not None and span is not None:
+            self.sim.tracer.end(span, status=str(response.status),
+                                backend=response.served_by or "")
         outcome = RequestOutcome(response=response, latency=latency,
                                  backend=response.served_by or None)
         if self.overload is not None and response.status == 503:

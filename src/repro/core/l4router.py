@@ -44,12 +44,11 @@ class L4Router(Frontend):
                  costs: Optional[FrontendCosts] = None,
                  warmup: float = 0.0,
                  overload: Optional[OverloadConfig] = None,
-                 tracer=None,
                  name: Optional[str] = None):
         super().__init__(sim, lan, spec, servers,
                          policy=policy or WeightedLeastConnection(),
                          costs=costs or l4_costs(), warmup=warmup,
-                         overload=overload, tracer=tracer, name=name)
+                         overload=overload, name=name)
         self.resolver = resolver
 
     def route(self, request: HttpRequest) -> Generator:

@@ -320,15 +320,11 @@ class BreakerBoard:
     on which node is sick.
     """
 
-    def __init__(self, config: OverloadConfig, clock: Callable[[], float],
-                 on_close: Optional[Callable[[str], None]] = None,
-                 tracer=None):
+    def __init__(self, config: OverloadConfig, sim: Simulator,
+                 on_close: Optional[Callable[[str], None]] = None):
         self.config = config
-        self.clock = clock
+        self.sim = sim
         self.on_close = on_close
-        #: repro.obs tracer; every transition becomes a "breaker" point
-        #: event carrying the machine-readable reason
-        self.tracer = tracer
         self._breakers: dict[str, CircuitBreaker] = {}
         #: every transition, for audits: (time, node, from, to, reason)
         self.transitions: list[tuple[float, str, str, str, str]] = []
@@ -337,16 +333,16 @@ class BreakerBoard:
     def breaker(self, node: str) -> CircuitBreaker:
         if node not in self._breakers:
             self._breakers[node] = CircuitBreaker(
-                node, self.config, self.clock,
+                node, self.config, lambda: self.sim.now,
                 on_transition=self._record_transition)
         return self._breakers[node]
 
     def _record_transition(self, node: str, origin: str, to: str,
                            reason: str) -> None:
-        self.transitions.append((self.clock(), node, origin, to, reason))
-        if self.tracer is not None:
-            self.tracer.point("breaker", f"{origin}->{to}", node=node,
-                              reason=reason)
+        self.transitions.append((self.sim.now, node, origin, to, reason))
+        if self.sim.tracer is not None:
+            self.sim.tracer.point("breaker", f"{origin}->{to}", node=node,
+                                  reason=reason)
         if to == "closed" and self.on_close is not None:
             self.on_close(node)
 
@@ -442,16 +438,14 @@ class OverloadControl:
     wired into the front end's :class:`~repro.core.policies.RoutingView`
     (breaker gate + slow-start ramp)."""
 
-    def __init__(self, sim: Simulator, config: OverloadConfig, view,
-                 tracer=None):
+    def __init__(self, sim: Simulator, config: OverloadConfig, view):
         self.sim = sim
         self.config = config
         self.admission = AdmissionController(sim, config)
         # a backend whose breaker re-closes ramps back in just like one the
         # monitor marks up: slow-start covers both recovery paths
-        self.breakers = BreakerBoard(config, clock=lambda: sim.now,
-                                     on_close=view.begin_slow_start,
-                                     tracer=tracer)
+        self.breakers = BreakerBoard(config, sim,
+                                     on_close=view.begin_slow_start)
         self.retry_budget = RetryBudget(ratio=config.retry_budget_ratio,
                                         initial=config.retry_budget_initial,
                                         cap=config.retry_budget_cap)

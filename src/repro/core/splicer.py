@@ -62,12 +62,13 @@ _LEG_TRANSITIONS: dict[str, frozenset[str]] = {
 }
 
 
-def _leg_transition(leg: "PoolLeg", new: str, tracer=None) -> None:
+def _leg_transition(leg: "PoolLeg", new: str, sim: Simulator) -> None:
     """Move a leg through its lifecycle, enforcing the declared table."""
     if new not in _LEG_TRANSITIONS[leg.state]:
         raise RuntimeError(f"pool leg {leg.local}: illegal transition "
                            f"{leg.state} -> {new}")
     old, leg.state = leg.state, new
+    tracer = sim.tracer
     if tracer is not None:
         tracer.point("leg", f"{old}->{new}", node=leg.backend,
                      port=leg.local.port)
@@ -102,15 +103,12 @@ class SplicingDistributor:
                  dist_ip: str = "10.0.0.1",
                  prefork: int = 2,
                  policy: Optional[Policy] = None,
-                 weights: Optional[dict[str, float]] = None,
-                 tracer=None):
+                 weights: Optional[dict[str, float]] = None):
         if not backends:
             raise ValueError("need at least one backend")
         self.sim = sim
         self.net = net
         self.url_table = url_table
-        #: repro.obs tracer; None keeps the legacy behavior byte-for-byte
-        self.tracer = tracer
         self.backends = dict(backends)
         self.vip = Address(vip, 80)
         self.dist_ip = dist_ip
@@ -125,16 +123,17 @@ class SplicingDistributor:
         self._inboxes: dict[Address, Store] = {}
         self.relayed_to_server = 0
         self.relayed_to_client = 0
-        if tracer is not None:
+        # wired at construction: a tracer must attach to sim before this
+        if sim.tracer is not None:
             self.mapping.on_transition = self._trace_splice
         net.register(vip, self._on_vip_segment)
         net.register(dist_ip, self._on_dist_segment)
 
     def _trace_splice(self, entry: MappingEntry, old: MappingState,
                       new: MappingState) -> None:
-        self.tracer.point("splice", f"{old.value}->{new.value}",
-                          trace_id=entry.trace_id or None,
-                          node=entry.backend or "distributor")
+        self.sim.tracer.point("splice", f"{old.value}->{new.value}",
+                              trace_id=entry.trace_id or None,
+                              node=entry.backend or "distributor")
 
     # -- pool management ------------------------------------------------------
     def prefork_all(self) -> SimEvent:
@@ -153,7 +152,7 @@ class SplicingDistributor:
         leg = PoolLeg(backend, local, remote)
         leg.established = self.sim.event()
         self._legs[local.port] = leg
-        _leg_transition(leg, "SYN_SENT", self.tracer)
+        _leg_transition(leg, "SYN_SENT", self.sim)
         self.net.send(Segment(src=local, dst=remote, seq=leg.snd_nxt,
                               ack=0, flags=_SYN))
         leg.snd_nxt += 1
@@ -169,8 +168,8 @@ class SplicingDistributor:
             entry = self.mapping.create(client, self.sim.now,
                                         client_isn=seg.seq,
                                         vip_isn=next(_isns))
-            if self.tracer is not None:
-                entry.trace_id = self.tracer.new_trace()
+            if self.sim.tracer is not None:
+                entry.trace_id = self.sim.tracer.new_trace()
             entry.client_seq = seg.seq + 1          # rcv_nxt on the client leg
             inbox: Store = Store(self.sim, name=f"conn:{client}")
             self._inboxes[client] = inbox
@@ -299,7 +298,7 @@ class SplicingDistributor:
             return
         if leg.state == "SYN_SENT" and seg.is_syn and seg.is_ack:
             leg.rcv_nxt = seg.seq + 1
-            _leg_transition(leg, "ESTABLISHED", self.tracer)
+            _leg_transition(leg, "ESTABLISHED", self.sim)
             self.net.send(Segment(src=leg.local, dst=leg.remote,
                                   seq=leg.snd_nxt, ack=leg.rcv_nxt,
                                   flags=_ACK))

@@ -115,7 +115,9 @@ def run_openloop_splice(rate: float = 400.0, duration: float = 2.0,
     between the segment path and the fast path -- and between a plain run
     and one probed with ``kernel_stats``.
     """
-    sim = Simulator(fast_path=fast_path, kernel_stats=kernel_stats)
+    sim = Simulator(fast_path=fast_path)
+    if kernel_stats is not None:
+        kernel_stats.attach(sim)
     net = Network(sim)
     table = UrlTable()
     sizes = {}

@@ -139,17 +139,16 @@ class ChaosRunner:
         sim, lan = deployment.sim, deployment.lan
         servers = deployment.servers
         primary = deployment.frontend
-        tracer = deployment.tracer
 
         # §2.3: hot backup distributor monitoring the primary
         backup = ContentAwareDistributor(
             sim, lan, distributor_spec(), servers, UrlTable(),
             prefork=config.prefork, max_pool_size=config.max_pool_size,
-            warmup=config.warmup, tracer=tracer, name="dist-backup")
+            warmup=config.warmup, name="dist-backup")
 
         # §3.1 management plane: controller + per-node brokers + monitor
         controller = Controller(sim, primary.nic, deployment.url_table,
-                                deployment.doctree, tracer=tracer)
+                                deployment.doctree)
         controller.default_timeout = 1.0
         registry: dict[str, Broker] = {}
         for name in sorted(servers):
@@ -158,7 +157,7 @@ class ChaosRunner:
             controller.register_broker(broker)
         monitor = ClusterMonitor(sim, controller, primary.view,
                                  interval=0.3, misses_to_fail=2,
-                                 probe_timeout=0.5, tracer=tracer)
+                                 probe_timeout=0.5)
         monitor.start()
 
         def rebind_after_failover(p: HaDistributorPair) -> None:
@@ -175,8 +174,7 @@ class ChaosRunner:
 
         pair = HaDistributorPair(sim, primary, backup,
                                  heartbeat_interval=0.2, misses_to_fail=2,
-                                 on_failover=rebind_after_failover,
-                                 tracer=tracer)
+                                 on_failover=rebind_after_failover)
 
         # the fault schedule, installed through the engine's injection hook
         ep_rng = RngStream(self.seed, f"chaos/episode/{index}")
@@ -197,12 +195,11 @@ class ChaosRunner:
             from .testbed import wire_telemetry
             telemetry = TelemetrySampler(window=self.telemetry).attach(sim)
             wire_telemetry(telemetry, deployment, rig=rig)
-            deployment.telemetry = telemetry
         targets = ChaosTargets(sim=sim, lan=lan, servers=servers,
                                pair=pair, brokers=registry,
                                loss_rng=ep_rng.substream("loss"),
                                agent_rng=ep_rng.substream("agents"),
-                               rig=rig, tracer=tracer)
+                               rig=rig)
         schedule.install(targets)
         rig.start_clients(self.clients)
 
@@ -282,6 +279,7 @@ class ChaosRunner:
             finalize_done=finalize.get("done", False),
             slo_results=slo_results,
             telemetry_summary=telemetry_summary)
+        tracer = sim.tracer
         if tracer is not None and not result.survived:
             # the failed episode's last moments, for the postmortem
             result.timeline = tracer.recorder.render()
@@ -544,21 +542,19 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
     deployment = build_deployment(exp)
     sim, lan, servers = deployment.sim, deployment.lan, deployment.servers
     primary = deployment.frontend
-    tracer = deployment.tracer
 
     backup = ContentAwareDistributor(
         sim, lan, distributor_spec(), servers, UrlTable(),
         prefork=exp.prefork, max_pool_size=exp.max_pool_size,
-        warmup=exp.warmup, tracer=tracer, name="dist-backup")
+        warmup=exp.warmup, name="dist-backup")
     pair = HaDistributorPair(
         sim, primary, backup, heartbeat_interval=0.2, misses_to_fail=2,
-        retry_budget=primary.overload.retry_budget if enabled else None,
-        tracer=tracer)
+        retry_budget=primary.overload.retry_budget if enabled else None)
 
     # management plane; with overload on, dispatch timeouts feed the same
     # breaker board the data plane trips (satellite health signal)
     controller = Controller(sim, primary.nic, deployment.url_table,
-                            deployment.doctree, tracer=tracer)
+                            deployment.doctree)
     controller.default_timeout = 1.0
     if enabled:
         controller.health_sink = primary.overload.breakers
@@ -569,7 +565,7 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
         controller.register_broker(broker)
     monitor = ClusterMonitor(sim, controller, primary.view,
                              interval=0.3, misses_to_fail=2,
-                             probe_timeout=0.5, tracer=tracer)
+                             probe_timeout=0.5)
     monitor.start()
 
     ep_rng = RngStream(seed, "chaos/overload")
@@ -586,7 +582,6 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
         from .testbed import wire_telemetry
         sampler = TelemetrySampler(window=telemetry).attach(sim)
         wire_telemetry(sampler, deployment, rig=rig)
-        deployment.telemetry = sampler
     # the node holding the most content sees the most traffic -- slow
     # *its* disk, so breaker trips are all but guaranteed under the burst
     slow_node = max(sorted(servers),
@@ -598,7 +593,7 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
                      duration=0.25 * duration),
     ])
     targets = ChaosTargets(sim=sim, lan=lan, servers=servers, pair=pair,
-                           brokers=registry, rig=rig, tracer=tracer)
+                           brokers=registry, rig=rig)
     schedule.install(targets)
 
     rig.start_clients(clients)
@@ -639,6 +634,7 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
         specs = slos if slos is not None else DEFAULT_OVERLOAD_SLOS
         slo_results = evaluate_slos(
             specs, slo_metrics_from_rig(rig, shed=shed), sampler)
+    tracer, ks = sim.tracer, sim.kernel_stats
     result = OverloadEpisodeResult(
         seed=seed,
         enabled=enabled,
@@ -671,8 +667,7 @@ def run_overload_episode(seed: int = 1, duration: float = 6.0,
         events=sim.event_count,
         telemetry=sampler,
         slo_results=slo_results,
-        kernel_stats=(deployment.kernel_stats.report()
-                      if deployment.kernel_stats is not None else None))
+        kernel_stats=ks.report() if ks is not None else None)
     if tracer is not None and not result.survived:
         result.timeline = tracer.recorder.render()
     return result

@@ -51,8 +51,7 @@ def _build_mgmt(deployment, *, checkpoint_every: int,
     """Controller + brokers + attached durability over a deployment."""
     sim = deployment.sim
     controller = Controller(sim, deployment.frontend.nic,
-                            deployment.url_table, deployment.doctree,
-                            tracer=deployment.tracer)
+                            deployment.url_table, deployment.doctree)
     controller.default_timeout = 1.0
     registry: dict[str, Broker] = {}
     for name in sorted(deployment.servers):
@@ -359,11 +358,11 @@ def run_promotion_episode(crash_at: Optional[float], seed: int = 1, *,
         n_client_machines=2, prewarm=False, trace=trace)
     deployment = build_deployment(config)
     sim, servers = deployment.sim, deployment.servers
-    primary, tracer = deployment.frontend, deployment.tracer
+    primary = deployment.frontend
     backup = ContentAwareDistributor(
         sim, deployment.lan, distributor_spec(), servers, UrlTable(),
         prefork=config.prefork, max_pool_size=config.max_pool_size,
-        warmup=config.warmup, tracer=tracer, name="dist-backup")
+        warmup=config.warmup, name="dist-backup")
     controller, registry, durability = _build_mgmt(
         deployment, checkpoint_every=24, recovery_grace=0.4,
         crash_plan=None)
@@ -391,7 +390,7 @@ def run_promotion_episode(crash_at: Optional[float], seed: int = 1, *,
         heartbeat_interval=heartbeat_interval,
         misses_to_fail=misses_to_fail,
         lease=DistributorLease(sim, lease_term),
-        recover_state=recover_state, tracer=tracer)
+        recover_state=recover_state)
 
     doc = ContentItem("/ha/promo.html", 16384, ContentType.HTML)
     target = sorted(servers)[0]

@@ -64,9 +64,9 @@ class ExperimentConfig:
     #: slow-start) into the front end; None keeps the paper's unprotected
     #: data plane
     overload: Optional[OverloadConfig] = None
-    #: attach a repro.obs tracer to the deployment: per-request spans,
-    #: breaker/shed/pool point events, and a flight recorder.  Off by
-    #: default -- tracer=None keeps the event sequence byte-for-byte
+    #: attach a repro.obs tracer to the simulator before anything is built:
+    #: per-request spans, breaker/shed/pool point events, and a flight
+    #: recorder.  Off by default; tracing never changes the event sequence
     trace: bool = False
     #: run on the kernel fast path (DESIGN.md §11): resource grants become
     #: synchronous and fault-free exchanges collapse to single completion
@@ -107,19 +107,13 @@ class Deployment:
     sampler: RequestSampler
     rig: WebBenchRig
     nfs: Optional[NfsServer] = None
-    #: the repro.obs tracer, when config.trace is on
-    tracer: Optional[object] = None
-    #: the repro.obs KernelStats observer, when config.kernel_stats is on
-    kernel_stats: Optional[object] = None
-    #: the repro.obs TelemetrySampler, when config.telemetry is set
-    telemetry: Optional[object] = None
 
     def run(self, n_clients: int) -> dict:
         """Drive ``n_clients`` for the configured duration; return summary."""
         self.rig.start_clients(n_clients)
         self.sim.run(until=self.config.duration)
         self.rig.stop_clients()
-        tel = self.telemetry
+        tel, ks = self.sim.telemetry, self.sim.kernel_stats
         if tel is not None:
             tel.finalize(self.sim.now)
         summary = self.rig.summary(self.config.duration)
@@ -141,8 +135,8 @@ class Deployment:
         if tel is not None:
             # additive: cells without telemetry keep their exact summary
             summary["telemetry"] = tel.summary()
-        if self.kernel_stats is not None:
-            summary["kernel_stats"] = self.kernel_stats.report()
+        if ks is not None:
+            summary["kernel_stats"] = ks.report()
         return summary
 
 
@@ -179,14 +173,19 @@ def _prewarm_caches(catalog: SiteCatalog,
 def build_deployment(config: ExperimentConfig) -> Deployment:
     """Construct the §5.1 cluster wired for ``config.scheme``."""
     rng = RngStream(config.seed, f"exp/{config.scheme}/{config.workload.name}")
-    kernel_stats = None
-    if config.kernel_stats:
-        # local import keeps the observability layer optional for plain runs
-        from ..obs import KernelStats
-        kernel_stats = KernelStats(callsites=True)
     sim = Simulator(debug=config.debug_invariants,
-                    fast_path=config.fast_path,
-                    kernel_stats=kernel_stats)
+                    fast_path=config.fast_path)
+    # observers attach before anything is built (local imports keep the
+    # observability layer optional for plain runs)
+    if config.kernel_stats:
+        from ..obs import KernelStats
+        KernelStats(callsites=True).attach(sim)
+    if config.trace:
+        from ..obs import Tracer
+        Tracer().attach(sim)
+    if config.telemetry is not None:
+        from ..obs import TelemetrySampler
+        TelemetrySampler(window=config.telemetry).attach(sim)
     lan = Lan(sim)
     specs = paper_testbed_specs()
     servers: dict[str, BackendServer] = {}
@@ -214,25 +213,19 @@ def build_deployment(config: ExperimentConfig) -> Deployment:
         path = url.split("?", 1)[0]
         return catalog.get(path) if path in catalog else None
 
-    tracer = None
-    if config.trace:
-        # local import keeps the observability layer optional for plain runs
-        from ..obs import Tracer
-        tracer = Tracer(sim)
-
     if config.scheme == "partition-ca":
         frontend: Frontend = ContentAwareDistributor(
             sim, lan, distributor_spec(), servers, url_table,
             prefork=config.prefork, max_pool_size=config.max_pool_size,
-            warmup=config.warmup, overload=config.overload, tracer=tracer)
+            warmup=config.warmup, overload=config.overload)
     elif config.scheme == "replication-lard":
         frontend = LardRouter(sim, lan, distributor_spec(), servers,
                               resolver, warmup=config.warmup,
-                              overload=config.overload, tracer=tracer)
+                              overload=config.overload)
     else:
         frontend = L4Router(sim, lan, distributor_spec(), servers,
                             resolver, warmup=config.warmup,
-                            overload=config.overload, tracer=tracer)
+                            overload=config.overload)
 
     if config.prewarm:
         _prewarm_caches(catalog, servers, nfs)
@@ -244,18 +237,12 @@ def build_deployment(config: ExperimentConfig) -> Deployment:
                       warmup=config.warmup,
                       think_time=config.workload.think_time,
                       rng=rng.substream("rig"))
-    telemetry = None
-    if config.telemetry is not None:
-        # local import keeps the observability layer optional for plain runs
-        from ..obs import TelemetrySampler
-        telemetry = TelemetrySampler(window=config.telemetry).attach(sim)
     deployment = Deployment(config=config, sim=sim, lan=lan, catalog=catalog,
                             servers=servers, frontend=frontend,
                             url_table=url_table, doctree=doctree,
-                            sampler=sampler, rig=rig, nfs=nfs, tracer=tracer,
-                            kernel_stats=kernel_stats, telemetry=telemetry)
-    if telemetry is not None:
-        wire_telemetry(telemetry, deployment)
+                            sampler=sampler, rig=rig, nfs=nfs)
+    if sim.telemetry is not None:
+        wire_telemetry(sim.telemetry, deployment)
     if config.debug_invariants:
         # local import keeps the analysis layer optional for plain runs
         from ..analysis.invariants import install_invariants

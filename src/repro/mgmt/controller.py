@@ -38,13 +38,11 @@ class Controller:
     """Receives admin commands, dispatches agents, updates routing state."""
 
     def __init__(self, sim: Simulator, nic: Nic,
-                 url_table: UrlTable, doctree: DocTree, tracer=None):
+                 url_table: UrlTable, doctree: DocTree):
         self.sim = sim
         self.nic = nic
         self.url_table = url_table
         self.doctree = doctree
-        #: repro.obs tracer; every dispatch becomes an "agent" span
-        self.tracer = tracer
         self.brokers: dict[str, Broker] = {}
         self._pending: dict[int, SimEvent] = {}
         #: applied to every dispatch that doesn't pass an explicit timeout;
@@ -104,9 +102,9 @@ class Controller:
                 ev.fail(exc)
                 ev.defuse()
         self._pending.clear()
-        if self.tracer is not None:
-            self.tracer.point("recovery", "controller-crash",
-                              pending=pending)
+        if self.sim.tracer is not None:
+            self.sim.tracer.point("recovery", "controller-crash",
+                                  pending=pending)
 
     def restart(self) -> None:
         """Bring a crashed controller back (state recovery is separate:
@@ -115,8 +113,8 @@ class Controller:
             return
         self.alive = True
         self.restarts += 1
-        if self.tracer is not None:
-            self.tracer.point("recovery", "controller-restart")
+        if self.sim.tracer is not None:
+            self.sim.tracer.point("recovery", "controller-restart")
 
     def wal_apply(self, action: str, **payload) -> None:
         """Write-ahead one routing mutation (no-op without durability).
@@ -149,10 +147,11 @@ class Controller:
         done = self.sim.event()
         self._pending[dispatch.dispatch_id] = done
         self.dispatches += 1
+        tracer = self.sim.tracer
         span = None
-        if self.tracer is not None:
-            span = self.tracer.begin("agent", agent.name, node=node,
-                                     dispatch=dispatch.dispatch_id)
+        if tracer is not None:
+            span = tracer.begin("agent", agent.name, node=node,
+                                dispatch=dispatch.dispatch_id)
         if self.durability is not None:
             self.durability.log_dispatch(dispatch.dispatch_id,
                                          agent.name, node)
@@ -183,7 +182,7 @@ class Controller:
         if span is not None:
             status = "ok" if result.ok else (
                 "timeout" if timed_out else "failed")
-            self.tracer.end(span, status=status)
+            tracer.end(span, status=status)
         return result
 
     # -- content management operations (§3.2) ------------------------------

@@ -537,8 +537,8 @@ class RecoveryReport:
 
 
 def _trace_resolution(controller, resolution: dict[str, Any]) -> None:
-    if controller.tracer is not None:
-        controller.tracer.point(
+    if controller.sim.tracer is not None:
+        controller.sim.tracer.point(
             "recovery", "resolve",
             op=resolution["op"], op_id=resolution["op_id"],
             action=resolution["action"], reason=resolution["reason"])
@@ -684,9 +684,9 @@ def recover(controller, *, timeout: Optional[float] = 1.0,
         raise ValueError("controller has no durability attached")
     if not controller.alive:
         raise ValueError("restart the controller before recovering")
-    if controller.tracer is not None:
-        controller.tracer.point("recovery", "begin",
-                                boundaries=durability.boundaries)
+    tracer = controller.sim.tracer
+    if tracer is not None:
+        tracer.point("recovery", "begin", boundaries=durability.boundaries)
     if grace is None:
         grace = durability.config.recovery_grace
     if grace > 0:
@@ -708,11 +708,10 @@ def recover(controller, *, timeout: Optional[float] = 1.0,
     open_intents = durability.open_intents_from_wal()
     # the durable truth replaces whatever the volatile map held
     durability.open = {intent["op_id"]: intent for intent in open_intents}
-    if controller.tracer is not None:
-        controller.tracer.point("recovery", "replay",
-                                checkpoint_lsn=checkpoint_lsn,
-                                records=len(records), applies=applies,
-                                open_intents=len(open_intents))
+    if tracer is not None:
+        tracer.point("recovery", "replay", checkpoint_lsn=checkpoint_lsn,
+                     records=len(records), applies=applies,
+                     open_intents=len(open_intents))
 
     resolutions: list[dict[str, Any]] = []
     for intent in open_intents:
@@ -746,8 +745,8 @@ def recover(controller, *, timeout: Optional[float] = 1.0,
                 reconciled.append(node)
         if dirty:
             audit = yield from controller.audit()
-        if controller.tracer is not None:
-            controller.tracer.point(
+        if tracer is not None:
+            tracer.point(
                 "recovery", "audit",
                 missing=len(audit["missing"]),
                 orphaned=len(audit["orphaned"]),
@@ -769,8 +768,7 @@ def recover(controller, *, timeout: Optional[float] = 1.0,
                and not consistency and not durability.open),
     )
     durability.last_recovery = report
-    if controller.tracer is not None:
-        controller.tracer.point("recovery", "done",
-                                clean=report.clean,
-                                resolutions=len(resolutions))
+    if tracer is not None:
+        tracer.point("recovery", "done", clean=report.clean,
+                     resolutions=len(resolutions))
     return report

@@ -54,8 +54,7 @@ class ClusterMonitor:
                  misses_to_fail: int = 2,
                  re_replicate: bool = True,
                  probe_timeout: Optional[float] = None,
-                 reconcile_on_recovery: bool = True,
-                 tracer=None):
+                 reconcile_on_recovery: bool = True):
         if interval <= 0:
             raise ValueError("interval must be positive")
         if misses_to_fail < 1:
@@ -68,8 +67,6 @@ class ClusterMonitor:
         self.re_replicate = re_replicate
         self.probe_timeout = probe_timeout
         self.reconcile_on_recovery = reconcile_on_recovery
-        #: repro.obs tracer; sweep verdicts become "monitor" point events
-        self.tracer = tracer
         self.events: list[NodeEvent] = []
         self.rounds = 0
         self._misses: dict[str, int] = {}
@@ -107,10 +104,10 @@ class ClusterMonitor:
         self.rounds += 1
         for node in sorted(self.controller.brokers):
             healthy = yield from self._probe(node)
-            if self.tracer is not None:
-                self.tracer.point("monitor",
-                                  "probe-ok" if healthy else "probe-failed",
-                                  node=node)
+            if self.sim.tracer is not None:
+                self.sim.tracer.point(
+                    "monitor", "probe-ok" if healthy else "probe-failed",
+                    node=node)
             if healthy:
                 self._misses[node] = 0
                 if node in self._down:
@@ -136,8 +133,8 @@ class ClusterMonitor:
     def _mark_up(self, node: str) -> None:
         self._down.discard(node)
         self.view.mark_up(node)
-        if self.tracer is not None:
-            self.tracer.point("monitor", "mark-up", node=node)
+        if self.sim.tracer is not None:
+            self.sim.tracer.point("monitor", "mark-up", node=node)
         self.events.append(NodeEvent(at=self.sim.now, node=node, kind="up"))
         if self.reconcile_on_recovery:
             self._pending_reconcile.add(node)
@@ -163,9 +160,9 @@ class ClusterMonitor:
     def _mark_down(self, node: str) -> Generator:
         self._down.add(node)
         self.view.mark_down(node)
-        if self.tracer is not None:
-            self.tracer.point("monitor", "mark-down", node=node,
-                              reason="missed-probes")
+        if self.sim.tracer is not None:
+            self.sim.tracer.point("monitor", "mark-down", node=node,
+                                  reason="missed-probes")
         self.events.append(NodeEvent(at=self.sim.now, node=node,
                                      kind="down"))
         if not self.re_replicate:

@@ -192,8 +192,7 @@ class Lan:
         fast = idle and synchronous
         if fast:
             self.fast_transfers += 1
-        if sim.kernel_stats is not None:
-            sim.note_fast_path("lan", fast)
+        sim.note_fast_path("lan", fast)
         self.total_transfers += 1
         self.total_bytes += nbytes
         src.bytes_sent += nbytes

@@ -12,6 +12,11 @@ exporters (:mod:`~repro.obs.telemetry`), declarative SLO evaluation
 (:mod:`~repro.obs.slo`), and cProfile subsystem attribution
 (:mod:`~repro.obs.profile`).
 
+The observers -- :class:`Tracer`, :class:`KernelStats`,
+:class:`TelemetrySampler` -- each attach with ``observer.attach(sim)``,
+before the components are built, and live only on the simulator:
+components read ``sim.<observer>`` instead of taking one as an argument.
+
 Everything here obeys the repository's determinism contract: no wall
 clock, no global RNG, sorted iteration everywhere -- the
 ``repro.analysis`` linter covers this package like any other.

@@ -3,8 +3,8 @@
 Two observers complement the per-request tracer:
 
 ``KernelStats``
-    Scheduler introspection.  Installed via ``Simulator(kernel_stats=...)``
-    (or :meth:`KernelStats.attach`), it counts scheduled / fired /
+    Scheduler introspection.  Installed via :meth:`KernelStats.attach`
+    (``KernelStats().attach(sim)``), it counts scheduled / fired /
     cancelled events per event class, tracks the event-heap high-water
     mark and the hot-timeout pool recycling rate, and -- with
     ``callsites=True`` -- attributes every enqueue to the subsystem
@@ -90,6 +90,7 @@ class KernelStats:
         self.max_batch = 0
 
     def attach(self, sim: Any) -> "KernelStats":
+        """Install as ``sim.kernel_stats``, before the run starts."""
         sim.kernel_stats = self
         return self
 
@@ -268,6 +269,7 @@ class TelemetrySampler:
         self._finalized = False
 
     def attach(self, sim: Any) -> "TelemetrySampler":
+        """Install as ``sim.telemetry``; the first window opens now."""
         sim.telemetry = self
         self._start = sim.now
         self._next_edge = sim.now + self.window

@@ -16,16 +16,17 @@ Two record shapes:
   transition, a splice-state change) and, when it is a decision, carries a
   machine-readable ``reason`` in its attrs.
 
-Components hold an ``Optional[Tracer]`` and guard every record with
-``if tracer is not None`` -- the same zero-overhead-when-off contract as
-``overload=None`` on the front end.
+The tracer attaches to the simulator (:meth:`Tracer.attach`); components
+read ``sim.tracer`` and guard every record with ``if tracer is not None``
+-- the same zero-overhead-when-off contract as ``overload=None`` on the
+front end.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Optional
+from typing import Any, Optional
 
 from .recorder import FlightRecorder
 
@@ -111,14 +112,26 @@ class Tracer:
     and a fresh deployment always numbers from 1.
     """
 
-    def __init__(self, sim, ring: int = 512):
-        self.sim = sim
+    def __init__(self, ring: int = 512):
+        #: the simulator whose clock stamps every record (set by attach)
+        self.sim: Any = None
         self.events: list[TraceEvent] = []
         self.spans: list[Span] = []
         self.recorder = FlightRecorder(capacity=ring)
         self._seq = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
+
+    def attach(self, sim) -> "Tracer":
+        """Install as ``sim.tracer`` and record against ``sim``'s clock.
+
+        Attach before the instrumented components are built: the front
+        end and the splicer read ``sim.tracer`` in their constructors to
+        decide whether to hook mapping-table transitions.
+        """
+        self.sim = sim
+        sim.tracer = self
+        return self
 
     # -- ids ----------------------------------------------------------------
     def new_trace(self) -> int:

@@ -422,8 +422,7 @@ class Simulator:
     monkeypatching any component.
     """
 
-    def __init__(self, debug: bool = False, fast_path: bool = False,
-                 kernel_stats: Optional[Any] = None):
+    def __init__(self, debug: bool = False, fast_path: bool = False):
         self._now = 0.0
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._eid = 0
@@ -466,14 +465,15 @@ class Simulator:
         self._invariants: list[list] = []
         #: fault injections registered via :meth:`add_injection`
         self.injections: list[Injection] = []
-        #: opt-in scheduler introspection (duck-typed; see
-        #: :class:`repro.obs.KernelStats`).  ``None`` disables every hook.
-        #: Like the tracer, the observer is strictly passive: it never
-        #: creates events, so the timeline is byte-identical off and on.
-        self.kernel_stats = kernel_stats
-        #: opt-in windowed sampler (see :class:`repro.obs.TelemetrySampler`).
-        #: Driven from :meth:`step` rather than by scheduled events, so
-        #: enabling it cannot perturb ``event_count`` or the timeline.
+        # The only place an observer lives: each is None until its
+        # ``attach(sim)``, and every instrumented site reads it here.  All
+        # are passive (none creates events): the timeline is unchanged.
+        #: the repro.obs Tracer: spans and point events from both planes
+        self.tracer: Optional[Any] = None
+        #: scheduler introspection (see :class:`repro.obs.KernelStats`)
+        self.kernel_stats: Optional[Any] = None
+        #: windowed sampler (see :class:`repro.obs.TelemetrySampler`),
+        #: driven from :meth:`step` rather than by scheduled events
         self.telemetry: Optional[Any] = None
 
     @property
@@ -536,7 +536,8 @@ class Simulator:
 
     def note_fast_path(self, layer: str, hit: bool) -> None:
         """Report one fast-path decision of ``layer`` to the kernel
-        observer (fast path only; observation never changes a result)."""
+        observer (fast path only; observation never changes a result).
+        Every site reports through here, unguarded: this is the gate."""
         ks = self.kernel_stats
         if ks is None or not self.fast_path:
             return

@@ -224,9 +224,8 @@ class Resource:
         sim = self.sim
         if collapse and sim.fast_path:
             req = self.try_acquire()
-            ks = sim.kernel_stats
-            if ks is not None and layer is not None:
-                ks.on_fast_path(layer, req is not None)
+            if layer is not None:
+                sim.note_fast_path(layer, req is not None)
             if req is None:
                 req = yield self.request(hold=duration)
                 self.release(req)

@@ -286,3 +286,99 @@ def test_telemetry_gates_registered():
     assert "on_scheduled" in by_attr["kernel_stats"].api
     assert by_attr["telemetry"].api is not None
     assert "on_event" in by_attr["telemetry"].api
+
+
+# -- observers held on the simulator -----------------------------------
+
+# ConnectionPool's idiom: the tracer lives on ``self.sim``
+POOL_GUARDED = '''
+class ConnectionPool:
+    def __init__(self, sim, backend):
+        self.sim = sim
+        self.backend = backend
+    def release(self, conn):
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.point("pool", "release", node=self.backend)
+'''
+
+# Resource.hold's idiom before the fast-path report moved into
+# Simulator.note_fast_path: a local ``sim`` and a kernel-stats alias
+HOLD_GUARDED = '''
+class Resource:
+    def __init__(self, sim):
+        self.sim = sim
+    def hold(self, duration, layer=None):
+        sim = self.sim
+        req = self.try_acquire()
+        ks = sim.kernel_stats
+        if ks is not None and layer is not None:
+            ks.on_fast_path(layer, req is not None)
+        yield sim.hot_timeout(duration)
+'''
+
+
+def test_sim_held_observers_guarded_are_clean():
+    assert codes(POOL_GUARDED) == []
+    assert codes(HOLD_GUARDED) == []
+
+
+def test_unguarded_self_sim_tracer_trips():
+    mutated = POOL_GUARDED.replace(
+        "        tracer = self.sim.tracer\n"
+        "        if tracer is not None:\n"
+        "            tracer.point(",
+        "        self.sim.tracer.point(")
+    assert mutated != POOL_GUARDED
+    assert codes(mutated) == [("GATE001", 7)]
+
+
+def test_unguarded_sim_kernel_stats_alias_trips():
+    mutated = HOLD_GUARDED.replace("if ks is not None and layer is not None",
+                                   "if layer is not None")
+    assert mutated != HOLD_GUARDED
+    assert codes(mutated) == [("GATE002", 10)]
+
+
+def test_foreign_sim_tracer_needs_a_guard():
+    # the durability recovery idiom: ``<name>.sim.<gate>`` in a function
+    src = ("def trace_done(controller):\n"
+           "    tracer = controller.sim.tracer\n"
+           "    if tracer is not None:\n"
+           "        tracer.point('recovery', 'done')\n")
+    assert codes(src) == []
+    assert codes("def trace_done(controller):\n"
+                 "    controller.sim.tracer.point('recovery', 'done')\n"
+                 ) == [("GATE001", 2)]
+
+
+def test_callback_registered_under_sim_tracer_guard_is_clean():
+    # the front end wires its transition hook only when tracing is on
+    src = ("class Frontend:\n"
+           "    def __init__(self, sim):\n"
+           "        self.sim = sim\n"
+           "        if sim.tracer is not None:\n"
+           "            self.mapping.on_transition = self._trace\n"
+           "    def _trace(self, entry, old, new):\n"
+           "        self.sim.tracer.point('splice', 'x')\n")
+    assert codes(src) == []
+    unguarded = src.replace("        if sim.tracer is not None:\n    ", "")
+    assert codes(unguarded) == [("GATE001", 6)]
+
+
+def test_real_pool_mutation_trips():
+    """Dropping a guard from the shipped ConnectionPool fires GATE001."""
+    import pathlib
+
+    import repro.core.conn_pool as mod
+    src = pathlib.Path(mod.__file__).read_text()
+    tree = ast.parse(src)
+    assert analyze_gates(tree, "conn_pool.py") == []
+    guarded = ("        if self.sim.tracer is not None:\n"
+               "            self.sim.tracer.point(\"pool\", \"release\"")
+    assert guarded in src
+    mutated = src.replace(guarded, "        self.sim.tracer.point("
+                                   "\"pool\", \"release\"")
+    rules = [v.rule for v in analyze_gates(ast.parse(mutated),
+                                           "conn_pool.py")]
+    assert rules == ["GATE001"]

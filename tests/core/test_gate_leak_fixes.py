@@ -62,7 +62,7 @@ def test_admission_slot_released_when_tracer_raises():
     # LEAK003 fix: the slot is released even when the "admitted" trace
     # point raises before the serve begins
     sim, dist, client_nic = make_dist(overload=OverloadConfig())
-    dist.tracer = BoomOnAdmissionTracer()
+    sim.tracer = BoomOnAdmissionTracer()
     errors = []
 
     def go():

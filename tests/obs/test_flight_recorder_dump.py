@@ -53,7 +53,7 @@ class TestFlightRecorderDump:
 
     def test_untraced_deployment_raises_without_timeline(self):
         deployment = build_deployment(tiny_config(trace=False))
-        assert deployment.tracer is None
+        assert deployment.sim.tracer is None
         with pytest.raises(InvariantError) as excinfo:
             corrupt_and_run(deployment)
         assert excinfo.value.timeline == ""

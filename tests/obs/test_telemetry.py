@@ -29,7 +29,8 @@ def _ticker(sim, period, count):
 class TestKernelStats:
     def test_counts_scheduled_and_fired(self):
         stats = KernelStats()
-        sim = Simulator(kernel_stats=stats)
+        sim = Simulator()
+        stats.attach(sim)
         _ticker(sim, 0.1, 5)
         sim.run()
         report = stats.report()
@@ -40,7 +41,8 @@ class TestKernelStats:
 
     def test_cancellation_counted(self):
         stats = KernelStats()
-        sim = Simulator(kernel_stats=stats)
+        sim = Simulator()
+        stats.attach(sim)
 
         def sleeper():
             yield sim.timeout(10.0)
@@ -57,7 +59,8 @@ class TestKernelStats:
 
     def test_heap_high_water_tracks_depth(self):
         stats = KernelStats()
-        sim = Simulator(kernel_stats=stats)
+        sim = Simulator()
+        stats.attach(sim)
         for _ in range(8):
             _ticker(sim, 0.5, 1)
         sim.run()
@@ -65,7 +68,8 @@ class TestKernelStats:
 
     def test_callsite_attribution_optional(self):
         on = KernelStats(callsites=True)
-        sim = Simulator(kernel_stats=on)
+        sim = Simulator()
+        on.attach(sim)
         _ticker(sim, 0.1, 3)
         sim.run()
         report = on.report()
@@ -74,7 +78,8 @@ class TestKernelStats:
         for name, _count in report["callsites"]:
             assert ":" in name and "." in name
         off = KernelStats()
-        sim2 = Simulator(kernel_stats=off)
+        sim2 = Simulator()
+        off.attach(sim2)
         _ticker(sim2, 0.1, 3)
         sim2.run()
         assert "callsites" not in off.report()

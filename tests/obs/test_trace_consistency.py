@@ -76,7 +76,7 @@ class TestStatusCounters:
         deployment.sim.run(until=2.5)
 
         from_spans: dict = {}
-        for span in deployment.tracer.find_spans(kind="request"):
+        for span in deployment.sim.tracer.find_spans(kind="request"):
             if span.status and span.status.isdigit():
                 from_spans[span.status] = from_spans.get(span.status, 0) + 1
         counters = deployment.frontend.metrics.snapshot()["counters"]

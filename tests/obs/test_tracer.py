@@ -25,14 +25,14 @@ def traced_request(tracer, sim, url="/a.html", status="200", delay=0.5):
 class TestTracer:
     def test_ids_are_instance_scoped_and_start_at_one(self):
         sim = Simulator()
-        a, b = Tracer(sim), Tracer(sim)
+        a, b = Tracer().attach(sim), Tracer().attach(sim)
         assert a.new_trace() == 1
         assert a.new_trace() == 2
         assert b.new_trace() == 1
 
     def test_events_carry_sim_time_and_monotone_seq(self):
         sim = Simulator()
-        tracer = Tracer(sim)
+        tracer = Tracer().attach(sim)
 
         def proc():
             tracer.point("k", "early")
@@ -48,7 +48,7 @@ class TestTracer:
 
     def test_span_records_interval_and_status(self):
         sim = Simulator()
-        tracer = Tracer(sim)
+        tracer = Tracer().attach(sim)
         sim.process(traced_request(tracer, sim, status="503"))
         sim.run(until=5.0)
         span = tracer.find_spans(kind="request")[0]
@@ -58,7 +58,7 @@ class TestTracer:
 
     def test_begin_end_leave_phase_marks_on_the_timeline(self):
         sim = Simulator()
-        tracer = Tracer(sim)
+        tracer = Tracer().attach(sim)
         sim.process(traced_request(tracer, sim))
         sim.run(until=5.0)
         phases = [e.phase for e in tracer.events]
@@ -66,7 +66,7 @@ class TestTracer:
 
     def test_double_end_raises(self):
         sim = Simulator()
-        tracer = Tracer(sim)
+        tracer = Tracer().attach(sim)
         span = tracer.begin("request", "/x")
         tracer.end(span)
         with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ class TestTracer:
 
     def test_find_filters(self):
         sim = Simulator()
-        tracer = Tracer(sim)
+        tracer = Tracer().attach(sim)
         sim.process(traced_request(tracer, sim))
         sim.process(traced_request(tracer, sim, url="/b.html"))
         sim.run(until=5.0)
@@ -87,7 +87,7 @@ class TestTracer:
     def test_tracer_is_passive(self):
         """Recording must never create simulation events."""
         sim = Simulator()
-        tracer = Tracer(sim)
+        tracer = Tracer().attach(sim)
         before = len(sim._queue) if hasattr(sim, "_queue") else None
         tracer.point("k", "n")
         tracer.end(tracer.begin("request", "/x"))
@@ -127,7 +127,7 @@ class TestFlightRecorder:
 
 def small_trace():
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = Tracer().attach(sim)
     sim.process(traced_request(tracer, sim, status="200"))
     sim.process(traced_request(tracer, sim, url="/b.html", status="503"))
     sim.run(until=5.0)
@@ -171,7 +171,7 @@ class TestSummary:
 
     def test_open_spans_counted(self):
         sim = Simulator()
-        tracer = Tracer(sim)
+        tracer = Tracer().attach(sim)
         tracer.begin("request", "/never-ends")
         summary = TraceSummary.from_tracer(tracer)
         assert summary.open_spans == 1
@@ -179,7 +179,7 @@ class TestSummary:
 
     def test_reason_attrs_counted(self):
         sim = Simulator()
-        tracer = Tracer(sim)
+        tracer = Tracer().attach(sim)
         tracer.point("shed", "shed", reason="admission-queue-full")
         tracer.point("breaker", "closed->open", reason="error-rate")
         summary = TraceSummary.from_tracer(tracer)
@@ -210,5 +210,5 @@ class TestWaterfall:
 
     def test_empty_trace_id(self):
         sim = Simulator()
-        tracer = Tracer(sim)
+        tracer = Tracer().attach(sim)
         assert pick_waterfall_trace(tracer) is None

@@ -212,7 +212,8 @@ def test_step_fires_one_event_and_counts_batches():
     from repro.obs.telemetry import KernelStats
 
     ks = KernelStats()
-    sim = Simulator(fast_path=True, kernel_stats=ks)
+    sim = Simulator(fast_path=True)
+    ks.attach(sim)
     seen: list[str] = []
     for name in "abc":
         sim.schedule(1.0, lambda n=name: seen.append(n))
