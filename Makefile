@@ -3,7 +3,8 @@ PYTHONPATH := src
 
 .PHONY: verify test check check-deep chaos-smoke chaos chaos-overload \
 	trace telemetry telemetry-smoke golden bench bench-smoke \
-	oracle-seeds bench-queues sweep sweep-smoke recover recover-smoke
+	oracle-seeds bench-queues bench-memory sweep sweep-smoke recover \
+	recover-smoke
 
 ## The full tier-1 gate: unit/integration tests, the repro.analysis
 ## correctness passes, and the chaos smoke episodes.
@@ -70,6 +71,14 @@ oracle-seeds:
 bench-queues:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/perf/profile_queues.py \
 		--out BENCH_queues.json
+
+## Per-layer memory microbenchmark: bytes per catalog object held by the
+## plan, URL table, doc tree, stores and caches after build_deployment,
+## for each placement scheme at 8,700 objects (writes BENCH_memory.json).
+bench-memory:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) \
+		benchmarks/perf/profile_placement_memory.py \
+		--output BENCH_memory.json
 
 ## Run the checked-in sweep spec across 4 workers (DESIGN §13); the
 ## merged report is byte-identical regardless of the worker count.

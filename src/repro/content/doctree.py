@@ -7,14 +7,17 @@ interface containing methods for inserting, deleting, and renaming files or
 directories."
 
 This module is that view's data structure.  Every file node records *which
-backend nodes currently hold a copy*; directory operations cascade to their
+backend nodes currently hold a copy* as an immutable ``frozenset`` shared
+with every other holder of the same set (the URL table's records included);
+it changes only by replacement, through :meth:`DocTree.add_location` and
+:meth:`DocTree.remove_location`.  Directory operations cascade to their
 subtrees.  The management console (:mod:`repro.mgmt.console`) wraps this with
 the operations that also propagate changes to brokers and the URL table.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import AbstractSet, Iterator, Optional
 
 from .model import ContentItem
 
@@ -30,9 +33,11 @@ class FileNode:
 
     __slots__ = ("item", "locations")
 
-    def __init__(self, item: ContentItem, locations: Optional[set[str]] = None):
+    def __init__(self, item: ContentItem,
+                 locations: Optional[AbstractSet[str]] = None):
         self.item = item
-        self.locations: set[str] = set(locations or ())
+        # frozenset() of a frozenset is that same object: shared, not copied
+        self.locations: frozenset[str] = frozenset(locations or ())
 
     @property
     def replicated(self) -> bool:
@@ -101,7 +106,7 @@ class DocTree:
 
     # -- mutation -----------------------------------------------------------
     def insert(self, item: ContentItem,
-               locations: Optional[set[str]] = None) -> FileNode:
+               locations: Optional[AbstractSet[str]] = None) -> FileNode:
         """Insert a file at ``item.path``, creating parent directories."""
         segs = _split(item.path)
         if not segs:
@@ -112,6 +117,19 @@ class DocTree:
         node = FileNode(item, locations)
         parent.children[segs[-1]] = node
         return node
+
+    def add_location(self, path: str, *nodes: str) -> FileNode:
+        """Record that ``nodes`` now hold a copy of the file at ``path``."""
+        node = self.file(path)
+        node.locations = node.locations.union(nodes)
+        return node
+
+    def remove_location(self, path: str, node: str) -> FileNode:
+        """Record that ``node`` no longer holds a copy (a no-op if it
+        held none)."""
+        file_node = self.file(path)
+        file_node.locations = file_node.locations - {node}
+        return file_node
 
     def mkdir(self, path: str) -> DirectoryNode:
         segs = _split(path)

@@ -15,13 +15,18 @@ This module reproduces that structure exactly: a tree of per-directory hash
 tables, one level per path segment, with an LRU cache of recently resolved
 full URLs in front of it, plus an analytic memory-footprint estimator that
 the §5.2 benchmark reports.
+
+A record's ``locations`` is an immutable ``frozenset`` shared with every
+other record (and doc-tree file) that has the same holders; it changes only
+by replacement, through :meth:`UrlTable.add_location` and
+:meth:`UrlTable.remove_location`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Iterator, Optional
+from typing import AbstractSet, Iterator, Optional
 
 from ..content import ContentItem, Priority
 from ..net.http import split_path
@@ -38,7 +43,7 @@ class UrlRecord:
     """One content entry: everything the distributor needs per document."""
 
     item: ContentItem
-    locations: set[str]
+    locations: frozenset[str]
     hits: int = 0
 
     @property
@@ -91,8 +96,12 @@ class UrlTable:
             return False
 
     # -- mutation --------------------------------------------------------
-    def insert(self, item: ContentItem, locations: set[str]) -> UrlRecord:
-        """Register a document and the nodes holding it."""
+    def insert(self, item: ContentItem,
+               locations: AbstractSet[str]) -> UrlRecord:
+        """Register a document and the nodes holding it.
+
+        A ``frozenset`` is kept as given (shared, not copied); any other
+        set is frozen."""
         if not locations:
             raise UrlTableError(f"{item.path}: a document needs >=1 location")
         segments = split_path(item.path)
@@ -111,7 +120,7 @@ class UrlTable:
         leaf = segments[-1]
         if leaf in level.children:
             raise UrlTableError(f"duplicate document {item.path}")
-        record = UrlRecord(item=item, locations=set(locations))
+        record = UrlRecord(item=item, locations=frozenset(locations))
         level.children[leaf] = record
         self._count += 1
         self.version += 1
@@ -150,7 +159,7 @@ class UrlTable:
     def add_location(self, url: str, node: str) -> UrlRecord:
         """Record a new replica (after the controller copies content)."""
         record = self._find(split_path(url))
-        record.locations.add(node)
+        record.locations = record.locations | {node}
         self.version += 1
         return record
 
@@ -162,7 +171,7 @@ class UrlTable:
         if len(record.locations) == 1:
             raise UrlTableError(
                 f"{url}: refusing to remove the last copy (on {node})")
-        record.locations.discard(node)
+        record.locations = record.locations - {node}
         self.version += 1
         return record
 
@@ -249,7 +258,7 @@ class UrlTable:
         self._count = 0
         self._cache.clear()
         for record in other.records():
-            self.insert(record.item, set(record.locations))
+            self.insert(record.item, record.locations)
         self.version = other.version
         return True
 

@@ -35,6 +35,7 @@ import cProfile
 import hashlib
 import json
 import time
+import tracemalloc
 from typing import Callable, Optional
 
 from ..content import ContentItem, ContentType
@@ -307,12 +308,22 @@ def run_stage(name: str, scale: dict, seed: int) -> dict:
     (:class:`~repro.obs.telemetry.KernelStats`) attached; its digest must
     match the timed fast run -- the instrumentation's zero-perturbation
     contract, folded into ``identical`` -- and it supplies the per-stage
-    event-class/callsite attribution, heap high-water, and peak RSS.
+    event-class/callsite attribution and heap high-water.
+
+    Memory: ``traced_peak_kb`` is the :mod:`tracemalloc` peak of the probe
+    run alone, so it is this stage's own; the timed runs stay untraced.
+    ``peak_rss_kb`` is ``getrusage``'s high-water mark for the whole
+    process, so every stage after the largest repeats it.
     """
     fn = BENCH_STAGES[name]
     segment = fn(scale, seed, False)
     fast = fn(scale, seed, True)
-    probe = fn(scale, seed, True, kernel_stats=True)
+    tracemalloc.start()
+    try:
+        probe = fn(scale, seed, True, kernel_stats=True)
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     wall_seg, wall_fast = segment["wall_s"], fast["wall_s"]
     stats = probe["kernel_stats"]
     return {
@@ -331,6 +342,7 @@ def run_stage(name: str, scale: dict, seed: int) -> dict:
             "segment": round(segment["requests"] / wall_seg, 1)},
         "sim_seconds": segment["sim_seconds"],
         "speedup": round(wall_seg / wall_fast, 2),
+        "traced_peak_kb": traced_peak // 1024,
         "wall_s": {"fast": round(wall_fast, 4),
                    "segment": round(wall_seg, 4)},
     }

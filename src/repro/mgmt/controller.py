@@ -204,7 +204,7 @@ class Controller:
                            item=item_to_payload(item))
             if item.path in self.url_table:
                 self.url_table.add_location(item.path, node)
-                self.doctree.file(item.path).locations.add(node)
+                self.doctree.add_location(item.path, node)
             else:
                 self.url_table.insert(item, {node})
                 self.doctree.insert(item, {node})
@@ -236,7 +236,7 @@ class Controller:
                     f"replicate {path} to {node} failed: {result.detail}")
             self.wal_apply("route-add", path=path, node=node)
             self.url_table.add_location(path, node)
-            self.doctree.file(path).locations.add(node)
+            self.doctree.add_location(path, node)
         except (ManagementError, UrlTableError) as exc:
             if self.durability is not None and op_id is not None:
                 self.durability.log_abort(op_id, str(exc))
@@ -258,7 +258,7 @@ class Controller:
         try:
             self.wal_apply("route-drop", path=path, node=node)
             self.url_table.remove_location(path, node)  # raises on last copy
-            self.doctree.file(path).locations.discard(node)
+            self.doctree.remove_location(path, node)
             result = yield from self.execute(DeleteAgent(path), node)
             if not result.ok:
                 raise ManagementError(
@@ -432,7 +432,7 @@ class Controller:
                 self.wal_apply("route-add", path=path, node=node)
                 self.url_table.add_location(path, node)
                 if self.doctree.exists(path):
-                    self.doctree.file(path).locations.add(node)
+                    self.doctree.add_location(path, node)
                 summary["rejoined"].append(path)
             else:
                 yield from self.execute(DeleteAgent(path), node,
@@ -444,7 +444,7 @@ class Controller:
                 self.wal_apply("route-drop", path=path, node=node)
                 self.url_table.remove_location(path, node)
                 if self.doctree.exists(path):
-                    self.doctree.file(path).locations.discard(node)
+                    self.doctree.remove_location(path, node)
                 summary["dropped"].append(path)
             else:
                 self.wal_apply("route-remove", path=path)

@@ -199,7 +199,7 @@ def replay_apply(url_table: UrlTable, doctree: DocTree,
                 return False
             url_table.add_location(path, node)
             if doctree.exists(path):
-                doctree.file(path).locations.add(node)
+                doctree.add_location(path, node)
             return True
         item_payload = payload.get("item")
         if item_payload is None:
@@ -220,7 +220,7 @@ def replay_apply(url_table: UrlTable, doctree: DocTree,
             return False
         url_table.remove_location(path, node)
         if doctree.exists(path):
-            doctree.file(path).locations.discard(node)
+            doctree.remove_location(path, node)
         return True
     if action == "route-remove":
         path = payload["path"]
@@ -235,13 +235,13 @@ def replay_apply(url_table: UrlTable, doctree: DocTree,
         new_item = item_from_payload(item_payload)
         if old in url_table:
             record = url_table.remove(old)
-            locations = set(record.locations)
+            locations = record.locations
             if doctree.exists(old):
                 doctree.delete(old)
         elif new_item.path in url_table:
             return False
         else:
-            locations = set(payload["nodes"])
+            locations = frozenset(payload["nodes"])
         url_table.insert(new_item, locations)
         if not doctree.exists(new_item.path):
             doctree.insert(new_item, locations)
@@ -423,7 +423,7 @@ class ControllerDurability:
         if checkpoint is not None:
             for row in checkpoint["records"]:
                 item = item_from_payload(row)
-                locations = set(row["locations"])
+                locations = frozenset(row["locations"])
                 table.insert(item, locations)
                 doctree.insert(item, locations)
         for record in records:
@@ -448,10 +448,10 @@ class ControllerDurability:
                 doctree.delete(path)
         count = 0
         for record in replayed.records():
-            locations = set(record.locations)
+            locations = record.locations
             url_table.insert(record.item, locations)
             if doctree.exists(record.path):
-                doctree.file(record.path).locations.update(locations)
+                doctree.add_location(record.path, *locations)
             else:
                 doctree.insert(record.item, locations)
             count += 1

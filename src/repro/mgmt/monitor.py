@@ -187,8 +187,8 @@ class ClusterMonitor:
                                           path=record.path, node=node)
                 url_table.remove_location(record.path, node)
                 if self.controller.doctree.exists(record.path):
-                    self.controller.doctree.file(
-                        record.path).locations.discard(node)
+                    self.controller.doctree.remove_location(
+                        record.path, node)
             targets = [n for n in healthy if n not in record.locations]
             if not targets:
                 continue

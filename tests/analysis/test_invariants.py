@@ -38,7 +38,7 @@ def test_freshly_built_deployment_is_coherent(deployment):
 def test_dangling_location_flagged(deployment):
     """A URL-table record pointing at a node that does not exist."""
     record = next(iter(deployment.url_table.records()))
-    record.locations.add("ghost-node")
+    record.locations = record.locations | {"ghost-node"}
     assert "INV001" in rules(check(deployment))
 
 
@@ -61,7 +61,7 @@ def test_orphaned_store_item_flagged(deployment):
 
 def test_empty_location_set_flagged(deployment):
     record = next(iter(deployment.url_table.records()))
-    record.locations.clear()
+    record.locations = frozenset()
     assert "INV004" in rules(check(deployment))
 
 
@@ -106,7 +106,7 @@ def test_pool_release_overflow_flagged(deployment):
 
 def test_verify_invariants_raises(deployment):
     record = next(iter(deployment.url_table.records()))
-    record.locations.add("ghost-node")
+    record.locations = record.locations | {"ghost-node"}
     with pytest.raises(InvariantError) as exc:
         verify_invariants(deployment.url_table, servers=deployment.servers)
     assert any(v.rule == "INV001" for v in exc.value.violations)

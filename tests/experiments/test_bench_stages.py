@@ -49,6 +49,14 @@ class TestStageEntry:
         # the request-level fast path is the grant/pooled-timeout path
         assert "cpu" in entry["kernel_stats"]["fast_path"]
 
+    def test_traced_peak_is_the_stages_own(self, entry):
+        # tracemalloc over the probe run only: unlike the process-wide
+        # peak_rss_kb, it does not carry one stage's peak into the next
+        openloop = run_stage("openloop_latency", TINY, seed=42)
+        assert entry["traced_peak_kb"] > 0
+        assert openloop["traced_peak_kb"] > 0
+        assert openloop["traced_peak_kb"] != entry["traced_peak_kb"]
+
 
 class TestOpenloopProbe:
     def test_kernel_stats_probe_does_not_change_digest(self):

@@ -225,7 +225,7 @@ class TestControllerDurability:
         # simulate the monitor dropping a dead node's routes
         controller.wal_apply("route-drop", path=doc.path, node=nodes[1])
         controller.url_table.remove_location(doc.path, nodes[1])
-        controller.doctree.file(doc.path).locations.discard(nodes[1])
+        controller.doctree.remove_location(doc.path, nodes[1])
         assert durability.verify_consistency() == []
 
     def test_take_checkpoint_requires_attachment(self):

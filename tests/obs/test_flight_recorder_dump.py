@@ -31,7 +31,7 @@ def corrupt_and_run(deployment):
     def corrupt():
         yield sim.timeout(0.5)
         record = next(iter(deployment.url_table.records()))
-        record.locations.add("bogus-node")
+        record.locations = record.locations | {"bogus-node"}
 
     sim.process(corrupt())
     deployment.rig.start_clients(3)
